@@ -1,21 +1,28 @@
-// Out-of-core pipeline benchmark: synchronous FetchChunk streaming vs the
-// ChunkPipeline (async prefetch, coalesced ranged reads, bounded pin table)
+// Out-of-core reader benchmark: a synchronous per-chunk FetchChunk loop vs
+// the windowed run reader (StreamSchedule: coalesced ranged reads of
+// adjacent chunk ids, delivered in schedule order on the calling thread)
 // on a Fig. 12-style workload — a product cube whose merge schedule
-// alternates between two far-apart chunk regions, so every synchronous
-// fetch pays a long seek while the pipeline's lookahead window coalesces
-// each region's chunks into ranged reads (one seek per run).
+// alternates between two far-apart chunk regions, so every per-chunk
+// fetch pays a long seek while the reader's window coalesces each region's
+// chunks into ranged reads (one seek per run).
 //
-// Reported time is CPU wall time plus the SimulatedDisk's virtual I/O
-// seconds, matching the other benches. Emits BENCH_outofcore.json.
+// Measured wall time and the SimulatedDisk's modeled I/O time are reported
+// as separate fields; the headline `total` (wall + modeled) matches the
+// figure benches' convention. Wall times are the minimum over repetitions.
+// Emits BENCH_outofcore.json.
 //
 // Usage: bench_outofcore [--smoke] [--check] [--out PATH]
 //   --smoke  smaller cube / fewer sweep points (CI).
-//   --check  exit non-zero unless: every mode is bit-identical to the
-//            synchronous oracle, peak pinned chunks never exceed the pin
-//            budget, the stall + compute ≈ wall accounting identity holds,
-//            and the headline config (lookahead 16, 4 io_threads) beats the
-//            synchronous loop by >= 1.5x in total (CPU + virtual) time.
+//   --check  exit non-zero unless: every window delivers a stream
+//            bit-identical to the per-chunk FetchChunk oracle, the peak
+//            number of buffered chunks never exceeds the window, the
+//            out-of-core rollup is equal at windows 1 and 16 and to the
+//            in-memory pass, the headline window (16) beats the per-chunk
+//            loop by >= 1.5x in total (wall + modeled) time, and the
+//            headline's wall time stays within 1.1x of the per-chunk
+//            loop's on the page-cached file.
 
+#include <algorithm>
 #include <chrono>
 #include <cinttypes>
 #include <cstdint>
@@ -76,143 +83,128 @@ std::vector<ChunkId> InterleavedSchedule(const std::vector<ChunkId>& stored) {
 }
 
 struct SyncResult {
-  double wall_ms = 0.0;
-  double virtual_ms = 0.0;
+  double wall_ms = 0.0;  // Min over reps.
+  double modeled_ms = 0.0;
   uint64_t digest = 0;
   int64_t physical_reads = 0;
   int64_t seek_chunks = 0;
   bool ok = true;
-  double total_ms() const { return wall_ms + virtual_ms; }
+  double total_ms() const { return wall_ms + modeled_ms; }
 };
 
-SyncResult RunSync(SimulatedDisk* disk, const std::vector<ChunkId>& schedule) {
+SyncResult RunSync(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                   int reps) {
   SyncResult r;
-  disk->Reset();
-  const Clock::time_point t0 = Clock::now();
-  uint64_t h = 14695981039346656037ull;
-  for (ChunkId id : schedule) {
-    Result<Chunk> chunk = disk->FetchChunk(id);
-    if (!chunk.ok()) {
-      fprintf(stderr, "sync fetch of chunk %" PRIu64 " failed: %s\n",
-              static_cast<uint64_t>(id), chunk.status().ToString().c_str());
-      r.ok = false;
-      return r;
+  for (int rep = 0; rep < reps; ++rep) {
+    disk->Reset();
+    const Clock::time_point t0 = Clock::now();
+    uint64_t h = 14695981039346656037ull;
+    for (ChunkId id : schedule) {
+      Result<Chunk> chunk = disk->FetchChunk(id);
+      if (!chunk.ok()) {
+        fprintf(stderr, "sync fetch of chunk %" PRIu64 " failed: %s\n",
+                static_cast<uint64_t>(id), chunk.status().ToString().c_str());
+        r.ok = false;
+        return r;
+      }
+      h = FoldChunk(h, id, *chunk);
     }
-    h = FoldChunk(h, id, *chunk);
+    const double wall = MsSince(t0);
+    r.wall_ms = rep == 0 ? wall : std::min(r.wall_ms, wall);
+    r.digest = h;
   }
-  r.wall_ms = MsSince(t0);
   const IoStats stats = disk->stats();
-  r.virtual_ms = stats.virtual_seconds * 1e3;
+  r.modeled_ms = stats.virtual_seconds * 1e3;
   r.physical_reads = stats.physical_reads;
   r.seek_chunks = stats.total_seek_chunks;
-  r.digest = h;
   return r;
 }
 
-struct PipelinedResult {
-  int lookahead = 0;
-  int io_threads = 0;
+struct ReaderResult {
+  int window = 0;
   int64_t cache_chunks = 0;
-  int64_t pin_budget = 0;  // Resolved.
-  double wall_ms = 0.0;
-  double next_ms = 0.0;  // Time inside Next() (stalls + handoff overhead).
-  double compute_ms = 0.0;
-  double stall_ms = 0.0;
-  double virtual_ms = 0.0;
+  double wall_ms = 0.0;  // Min over reps.
+  double modeled_ms = 0.0;
+  int64_t seek_chunks = 0;
   uint64_t digest = 0;
-  ChunkPipelineStats stats;
+  StreamStats stats;
   bool ok = true;
   bool bit_identical = false;
-  double total_ms() const { return wall_ms + virtual_ms; }
-  // stall + compute should reconstruct wall up to handoff overhead.
-  double accounting_gap_ms() const {
-    return stall_ms + compute_ms - wall_ms;
-  }
+  double total_ms() const { return wall_ms + modeled_ms; }
 };
 
-PipelinedResult RunPipelined(SimulatedDisk* disk,
-                             const std::vector<ChunkId>& schedule,
-                             const ChunkPipelineOptions& options) {
-  PipelinedResult r;
-  r.lookahead = options.lookahead;
-  r.io_threads = options.io_threads;
-  r.pin_budget = options.pin_budget;
-  disk->Reset();
-  const Clock::time_point t0 = Clock::now();
-  uint64_t h = 14695981039346656037ull;
-  double next_ms = 0.0;
-  {
-    ChunkPipeline pipeline(disk, schedule, options);
-    r.pin_budget = pipeline.pin_budget();
-    while (true) {
-      const Clock::time_point n0 = Clock::now();
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      next_ms += MsSince(n0);
-      if (!pin.ok()) {
-        if (pin.status().code() != StatusCode::kOutOfRange) {
-          fprintf(stderr, "pipelined fetch failed: %s\n",
-                  pin.status().ToString().c_str());
-          r.ok = false;
-        }
-        break;
-      }
-      h = FoldChunk(h, pin->id(), pin->chunk());
+ReaderResult RunReader(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                       int window, int reps) {
+  ReaderResult r;
+  r.window = window;
+  for (int rep = 0; rep < reps; ++rep) {
+    disk->Reset();
+    const Clock::time_point t0 = Clock::now();
+    uint64_t h = 14695981039346656037ull;
+    const Status status = StreamSchedule(
+        disk, schedule, window, CancellationToken(),
+        [&h](ChunkId id, const Chunk& chunk) { h = FoldChunk(h, id, chunk); },
+        &r.stats);
+    const double wall = MsSince(t0);
+    if (!status.ok()) {
+      fprintf(stderr, "reader (window %d) failed: %s\n", window,
+              status.ToString().c_str());
+      r.ok = false;
+      return r;
     }
-    r.stats = pipeline.stats();
+    r.wall_ms = rep == 0 ? wall : std::min(r.wall_ms, wall);
+    // Every rep must reproduce the stream, not just the last one.
+    if (rep > 0 && h != r.digest) r.ok = false;
+    r.digest = h;
   }
-  r.wall_ms = MsSince(t0);
-  r.next_ms = next_ms;
-  r.compute_ms = r.wall_ms - next_ms;
-  r.stall_ms = r.stats.stall_seconds * 1e3;
-  r.virtual_ms = disk->stats().virtual_seconds * 1e3;
-  r.digest = h;
+  const IoStats stats = disk->stats();
+  r.modeled_ms = stats.virtual_seconds * 1e3;
+  r.seek_chunks = stats.total_seek_chunks;
   return r;
 }
 
 // ---- rollup workload: ChunkAggregator::ComputeOutOfCore ------------------
 
 struct RollupResult {
-  double sync_wall_ms = 0.0, sync_virtual_ms = 0.0;
-  double pipe_wall_ms = 0.0, pipe_virtual_ms = 0.0;
+  double sync_wall_ms = 0.0, sync_modeled_ms = 0.0;
+  double reader_wall_ms = 0.0, reader_modeled_ms = 0.0;
   bool ok = true;
-  bool bit_identical = false;   // pipelined == sync streaming.
-  bool matches_memory = false;  // sync streaming == in-memory pass, value-wise.
-  double sync_total_ms() const { return sync_wall_ms + sync_virtual_ms; }
-  double pipe_total_ms() const { return pipe_wall_ms + pipe_virtual_ms; }
+  bool bit_identical = false;   // Window 16 == window 1 streaming.
+  bool matches_memory = false;  // Window 1 streaming == in-memory pass.
+  double sync_total_ms() const { return sync_wall_ms + sync_modeled_ms; }
+  double reader_total_ms() const { return reader_wall_ms + reader_modeled_ms; }
 };
 
-RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int io_threads) {
+RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int reps) {
   RollupResult r;
   std::vector<GroupByMask> masks = {0b001, 0b010, 0b011, 0b110};
   std::vector<int> order(cube.num_dims());
   std::iota(order.begin(), order.end(), 0);
 
-  ChunkAggregator::OutOfCoreOptions sync_opts;
-  sync_opts.pipelined = false;
-  ChunkAggregator::OutOfCoreOptions pipe_opts;
-  pipe_opts.pipelined = true;
-  pipe_opts.pipeline.lookahead = 16;
-  pipe_opts.pipeline.io_threads = io_threads;
-
-  disk->Reset();
-  ChunkAggregator sync_agg(cube);
-  Clock::time_point t0 = Clock::now();
+  // Streams the rollup at `window`; keeps the min wall over reps and the
+  // modeled time of the last (identical) rep.
+  auto stream = [&](int window, double* wall_ms, double* modeled_ms) {
+    ChunkAggregator::OutOfCoreOptions options;
+    options.window = window;
+    Result<std::vector<GroupByResult>> views = Status::Internal("no rep ran");
+    for (int rep = 0; rep < reps; ++rep) {
+      disk->Reset();
+      ChunkAggregator agg(cube);
+      const Clock::time_point t0 = Clock::now();
+      views = agg.ComputeOutOfCore(masks, order, disk, options);
+      const double wall = MsSince(t0);
+      *wall_ms = rep == 0 ? wall : std::min(*wall_ms, wall);
+      *modeled_ms = disk->stats().virtual_seconds * 1e3;
+    }
+    return views;
+  };
   Result<std::vector<GroupByResult>> sync_views =
-      sync_agg.ComputeOutOfCore(masks, order, disk, sync_opts);
-  r.sync_wall_ms = MsSince(t0);
-  r.sync_virtual_ms = disk->stats().virtual_seconds * 1e3;
-
-  disk->Reset();
-  ChunkAggregator pipe_agg(cube);
-  t0 = Clock::now();
-  Result<std::vector<GroupByResult>> pipe_views =
-      pipe_agg.ComputeOutOfCore(masks, order, disk, pipe_opts);
-  r.pipe_wall_ms = MsSince(t0);
-  r.pipe_virtual_ms = disk->stats().virtual_seconds * 1e3;
-
-  if (!sync_views.ok() || !pipe_views.ok()) {
+      stream(1, &r.sync_wall_ms, &r.sync_modeled_ms);
+  Result<std::vector<GroupByResult>> reader_views =
+      stream(kReadWindow, &r.reader_wall_ms, &r.reader_modeled_ms);
+  if (!sync_views.ok() || !reader_views.ok()) {
     fprintf(stderr, "rollup failed: %s\n",
-            (!sync_views.ok() ? sync_views.status() : pipe_views.status())
+            (!sync_views.ok() ? sync_views.status() : reader_views.status())
                 .ToString()
                 .c_str());
     r.ok = false;
@@ -220,7 +212,7 @@ RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int io_threads) {
   }
   ChunkAggregator memory_agg(cube);
   std::vector<GroupByResult> memory_views = memory_agg.Compute(masks, order);
-  r.bit_identical = *sync_views == *pipe_views;
+  r.bit_identical = *sync_views == *reader_views;
   r.matches_memory = *sync_views == memory_views;
   return r;
 }
@@ -281,51 +273,33 @@ int Main(int argc, char** argv) {
           static_cast<long long>(cube.NumStoredChunks()), schedule.size(),
           path.c_str());
 
-  const SyncResult sync = RunSync(&disk, schedule);
+  // Repetitions per configuration: wall times are the min over reps.
+  const int reps = smoke ? 5 : 7;
+  const SyncResult sync = RunSync(&disk, schedule, reps);
 
-  std::vector<PipelinedResult> runs;
-  const std::vector<int> lookaheads =
-      smoke ? std::vector<int>{1, 16} : std::vector<int>{1, 4, 16, 64};
-  for (int lookahead : lookaheads) {
-    ChunkPipelineOptions options;
-    options.lookahead = lookahead;
-    options.io_threads = 4;
-    runs.push_back(RunPipelined(&disk, schedule, options));
-  }
-  const std::vector<int> io_thread_counts =
-      smoke ? std::vector<int>{1, 4} : std::vector<int>{1, 2, 4, 8};
-  for (int io_threads : io_thread_counts) {
-    if (io_threads == 4) continue;  // Covered by the lookahead sweep.
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = io_threads;
-    runs.push_back(RunPipelined(&disk, schedule, options));
-  }
-  {
-    // Tiny pin budget: back-pressure throttles the window but must still
-    // terminate and stay within budget.
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = 4;
-    options.pin_budget = 2;
-    runs.push_back(RunPipelined(&disk, schedule, options));
+  std::vector<ReaderResult> runs;
+  const std::vector<int> windows =
+      smoke ? std::vector<int>{1, kReadWindow} : std::vector<int>{1, 4, 16, 64};
+  for (int window : windows) {
+    runs.push_back(RunReader(&disk, schedule, window, reps));
   }
   if (!smoke) {
     // A warm cache in front of the cost model (both modes benefit).
     SimulatedDisk cached_disk(model, /*cache_capacity_chunks=*/256);
     Status s = cached_disk.AttachBackingFile(Env::Default(), path);
     if (s.ok()) {
-      ChunkPipelineOptions options;
-      options.lookahead = 16;
-      options.io_threads = 4;
-      PipelinedResult warm = RunPipelined(&cached_disk, schedule, options);
+      ReaderResult warm = RunReader(&cached_disk, schedule, kReadWindow, reps);
       warm.cache_chunks = 256;
       runs.push_back(warm);
     }
   }
-  for (PipelinedResult& r : runs) r.bit_identical = r.ok && r.digest == sync.digest;
+  for (ReaderResult& r : runs) r.bit_identical = r.ok && r.digest == sync.digest;
+  const ReaderResult* headline = nullptr;
+  for (const ReaderResult& r : runs) {
+    if (r.window == kReadWindow && r.cache_chunks == 0) headline = &r;
+  }
 
-  const RollupResult rollup = RunRollup(cube, &disk, /*io_threads=*/4);
+  const RollupResult rollup = RunRollup(cube, &disk, reps);
 
   std::remove(path.c_str());
 
@@ -345,39 +319,48 @@ int Main(int argc, char** argv) {
   fprintf(f, "  \"chunks\": %lld,\n",
           static_cast<long long>(cube.NumStoredChunks()));
   fprintf(f, "  \"schedule_len\": %zu,\n", schedule.size());
+  fprintf(f, "  \"reps\": %d,\n", reps);
   fprintf(f,
           "  \"disk\": {\"seek_seconds_per_chunk\": %g, "
           "\"max_seek_seconds\": %g, \"transfer_seconds\": %g},\n",
           model.seek_seconds_per_chunk, model.max_seek_seconds,
           model.transfer_seconds);
+  if (headline != nullptr) {
+    fprintf(f,
+            "  \"headline\": {\"window\": %d, \"wall_ms\": %.3f, "
+            "\"modeled_ms\": %.3f, \"sync_wall_ms\": %.3f, "
+            "\"sync_modeled_ms\": %.3f,\n"
+            "    \"wall_ratio\": %.3f, \"modeled_speedup\": %.2f, "
+            "\"total_speedup\": %.2f},\n",
+            headline->window, headline->wall_ms, headline->modeled_ms,
+            sync.wall_ms, sync.modeled_ms,
+            sync.wall_ms > 0 ? headline->wall_ms / sync.wall_ms : 0.0,
+            headline->modeled_ms > 0 ? sync.modeled_ms / headline->modeled_ms
+                                     : 0.0,
+            headline->total_ms() > 0 ? sync.total_ms() / headline->total_ms()
+                                     : 0.0);
+  }
   fprintf(f,
-          "  \"sync\": {\"wall_ms\": %.3f, \"virtual_ms\": %.3f, "
+          "  \"sync\": {\"wall_ms\": %.3f, \"modeled_ms\": %.3f, "
           "\"total_ms\": %.3f, \"physical_reads\": %lld, "
           "\"seek_chunks\": %lld},\n",
-          sync.wall_ms, sync.virtual_ms, sync.total_ms(),
+          sync.wall_ms, sync.modeled_ms, sync.total_ms(),
           static_cast<long long>(sync.physical_reads),
           static_cast<long long>(sync.seek_chunks));
-  fprintf(f, "  \"pipelined\": [\n");
+  fprintf(f, "  \"reader\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
-    const PipelinedResult& r = runs[i];
+    const ReaderResult& r = runs[i];
     fprintf(f,
-            "    {\"lookahead\": %d, \"io_threads\": %d, \"cache_chunks\": "
-            "%lld, \"pin_budget\": %lld, \"peak_pinned\": %lld,\n"
-            "     \"wall_ms\": %.3f, \"compute_ms\": %.3f, \"stall_ms\": "
-            "%.3f, \"virtual_ms\": %.3f, \"total_ms\": %.3f,\n"
-            "     \"accounting_gap_ms\": %.3f, \"read_batches\": %lld, "
-            "\"coalesced_reads\": %lld, \"prefetch_issued\": %lld,\n"
-            "     \"ready_hits\": %lld, \"stall_waits\": %lld, "
+            "    {\"window\": %d, \"cache_chunks\": %lld, \"wall_ms\": %.3f, "
+            "\"modeled_ms\": %.3f, \"total_ms\": %.3f,\n"
+            "     \"reads\": %lld, \"coalesced_reads\": %lld, "
+            "\"peak_buffered\": %lld, \"seek_chunks\": %lld, "
             "\"speedup_total\": %.2f, \"bit_identical\": %s}%s\n",
-            r.lookahead, r.io_threads, static_cast<long long>(r.cache_chunks),
-            static_cast<long long>(r.pin_budget),
-            static_cast<long long>(r.stats.peak_pinned), r.wall_ms,
-            r.compute_ms, r.stall_ms, r.virtual_ms, r.total_ms(),
-            r.accounting_gap_ms(), static_cast<long long>(r.stats.read_batches),
+            r.window, static_cast<long long>(r.cache_chunks), r.wall_ms,
+            r.modeled_ms, r.total_ms(), static_cast<long long>(r.stats.reads),
             static_cast<long long>(r.stats.coalesced_reads),
-            static_cast<long long>(r.stats.prefetch_issued),
-            static_cast<long long>(r.stats.ready_hits),
-            static_cast<long long>(r.stats.stall_waits),
+            static_cast<long long>(r.stats.peak_buffered),
+            static_cast<long long>(r.seek_chunks),
             r.total_ms() > 0 ? sync.total_ms() / r.total_ms() : 0.0,
             r.bit_identical ? "true" : "false",
             i + 1 < runs.size() ? "," : "");
@@ -385,13 +368,13 @@ int Main(int argc, char** argv) {
   fprintf(f, "  ],\n");
   fprintf(f,
           "  \"rollup_outofcore\": {\"sync_wall_ms\": %.3f, "
-          "\"sync_virtual_ms\": %.3f, \"sync_total_ms\": %.3f,\n"
-          "    \"pipelined_wall_ms\": %.3f, \"pipelined_virtual_ms\": %.3f, "
-          "\"pipelined_total_ms\": %.3f,\n"
+          "\"sync_modeled_ms\": %.3f, \"sync_total_ms\": %.3f,\n"
+          "    \"reader_wall_ms\": %.3f, \"reader_modeled_ms\": %.3f, "
+          "\"reader_total_ms\": %.3f,\n"
           "    \"bit_identical\": %s, \"matches_memory\": %s}\n",
-          rollup.sync_wall_ms, rollup.sync_virtual_ms, rollup.sync_total_ms(),
-          rollup.pipe_wall_ms, rollup.pipe_virtual_ms, rollup.pipe_total_ms(),
-          rollup.bit_identical ? "true" : "false",
+          rollup.sync_wall_ms, rollup.sync_modeled_ms, rollup.sync_total_ms(),
+          rollup.reader_wall_ms, rollup.reader_modeled_ms,
+          rollup.reader_total_ms(), rollup.bit_identical ? "true" : "false",
           rollup.matches_memory ? "true" : "false");
   fprintf(f, "}\n");
   fclose(f);
@@ -401,58 +384,47 @@ int Main(int argc, char** argv) {
   int failures = 0;
   if (!sync.ok) ++failures;
   if (!rollup.ok || !rollup.bit_identical || !rollup.matches_memory) {
-    fprintf(stderr, "FAIL rollup_outofcore: pipelined/sync/in-memory mismatch\n");
+    fprintf(stderr, "FAIL rollup_outofcore: window 16/window 1/in-memory mismatch\n");
     ++failures;
   }
-  const PipelinedResult* headline = nullptr;
-  for (const PipelinedResult& r : runs) {
+  for (const ReaderResult& r : runs) {
     if (!r.ok || !r.bit_identical) {
       fprintf(stderr,
-              "FAIL pipelined (lookahead %d, %d io_threads): stream differs "
-              "from synchronous oracle\n",
-              r.lookahead, r.io_threads);
+              "FAIL reader (window %d): stream differs from the per-chunk "
+              "oracle\n",
+              r.window);
       ++failures;
     }
-    if (r.stats.peak_pinned > r.pin_budget) {
+    if (r.stats.peak_buffered > r.window) {
       fprintf(stderr,
-              "FAIL pipelined (lookahead %d, %d io_threads): peak pinned "
-              "%lld exceeds budget %lld\n",
-              r.lookahead, r.io_threads,
-              static_cast<long long>(r.stats.peak_pinned),
-              static_cast<long long>(r.pin_budget));
+              "FAIL reader (window %d): peak buffered %lld exceeds the "
+              "window\n",
+              r.window, static_cast<long long>(r.stats.peak_buffered));
       ++failures;
-    }
-    if (r.lookahead == 16 && r.io_threads == 4 && r.cache_chunks == 0 &&
-        headline == nullptr) {
-      headline = &r;
     }
   }
   if (check) {
     constexpr double kSpeedupFloor = 1.5;
-    constexpr double kAccountingSlack = 0.10;  // Fraction of wall.
-    constexpr double kAccountingGraceMs = 5.0;
+    constexpr double kWallCeiling = 1.1;
     if (headline == nullptr) {
-      fprintf(stderr, "FAIL: headline config (lookahead 16, 4 io_threads) missing\n");
+      fprintf(stderr, "FAIL: headline config (window %d) missing\n",
+              kReadWindow);
       ++failures;
     } else {
       const double speedup =
           headline->total_ms() > 0 ? sync.total_ms() / headline->total_ms() : 0.0;
       if (speedup < kSpeedupFloor) {
         fprintf(stderr,
-                "FAIL headline: pipelined total %.3f ms vs sync %.3f ms "
+                "FAIL headline: reader total %.3f ms vs sync %.3f ms "
                 "(%.2fx < %.1fx floor)\n",
                 headline->total_ms(), sync.total_ms(), speedup, kSpeedupFloor);
         ++failures;
       }
-      const double gap = headline->accounting_gap_ms();
-      const double limit =
-          kAccountingSlack * headline->wall_ms + kAccountingGraceMs;
-      if (gap < -limit || gap > limit) {
+      if (headline->wall_ms > kWallCeiling * sync.wall_ms) {
         fprintf(stderr,
-                "FAIL headline: stall %.3f + compute %.3f vs wall %.3f ms "
-                "(gap %.3f beyond %.3f)\n",
-                headline->stall_ms, headline->compute_ms, headline->wall_ms,
-                gap, limit);
+                "FAIL headline: reader wall %.3f ms vs sync %.3f ms "
+                "(> %.1fx, min of %d reps)\n",
+                headline->wall_ms, sync.wall_ms, kWallCeiling, reps);
         ++failures;
       }
     }

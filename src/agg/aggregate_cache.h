@@ -67,12 +67,12 @@ class AggregateCache {
 
   // Out-of-core materialization: streams the chunk data from `disk`'s
   // backing file (which must store `cube`) through
-  // ChunkAggregator::ComputeOutOfCore — synchronous fetches or the async
-  // prefetch pipeline per `options`. Falls back to the in-memory pass when
-  // streaming is unavailable (no backing file) or fails; either way the
-  // views are value-equivalent. Exception: a stream abandoned by
-  // options.cancel does NOT fall back (no wasted full scan after a
-  // cancelled query) — the cache is left empty and must be discarded.
+  // ChunkAggregator::ComputeOutOfCore at `options.window`. Falls back to
+  // the in-memory pass when streaming is unavailable (no backing file) or
+  // fails; either way the views are value-equivalent. Exception: a stream
+  // abandoned by options.cancel does NOT fall back (no wasted full scan
+  // after a cancelled query) — the cache is left empty and must be
+  // discarded.
   AggregateCache(const Cube& cube, const std::vector<GroupByMask>& masks,
                  SimulatedDisk* disk,
                  const ChunkAggregator::OutOfCoreOptions& options,

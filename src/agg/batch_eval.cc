@@ -318,8 +318,6 @@ void BatchCellEvaluator::PlanAndMaterialize(
   std::sort(masks.begin(), masks.end());
   if (options_.out_of_core_disk != nullptr) {
     ChunkAggregator::OutOfCoreOptions ooc;
-    ooc.pipelined = options_.pipelined_io;
-    ooc.pipeline = options_.pipeline;
     ooc.cancel = options_.cancel;
     ooc.on_degrade = options_.on_degrade;
     scratch_.emplace(data_, masks, options_.out_of_core_disk, ooc,

@@ -12,7 +12,6 @@
 #include "agg/group_by.h"
 #include "agg/lattice.h"
 #include "cube/cube.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/simulated_disk.h"
 
 namespace olap {
@@ -54,16 +53,13 @@ struct BatchEvalOptions {
   int64_t min_refs_per_view = 2;
   // Out-of-core scratch materialization: when non-null, the disk must have
   // a backing file storing the evaluator's data cube, and the scratch
-  // views are built by streaming chunks from it
-  // (ChunkAggregator::ComputeOutOfCore) instead of scanning the in-memory
-  // chunk map. Falls back to the in-memory pass if streaming fails.
+  // views are built by streaming chunks from it in coalesced ranged reads
+  // (ChunkAggregator::ComputeOutOfCore at kReadWindow) instead of scanning
+  // the in-memory chunk map. Falls back to the in-memory pass if streaming
+  // fails.
   SimulatedDisk* out_of_core_disk = nullptr;
-  // Stream through an async ChunkPipeline (prefetch + coalesced ranged
-  // reads) instead of synchronous per-chunk fetches.
-  bool pipelined_io = false;
-  ChunkPipelineOptions pipeline;
   // Cooperative cancellation, threaded into the materialization pass and
-  // its pipeline. A Prepare* that observes a stop request publishes NO
+  // its chunk stream. A Prepare* that observes a stop request publishes NO
   // scratch views (the cache is never left partially materialized); the
   // evaluator itself stays usable on the per-cell path.
   CancellationToken cancel;

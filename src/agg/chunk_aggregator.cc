@@ -426,7 +426,7 @@ Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
   // The partition plan mirrors Compute's, with the one out-of-core
   // difference that cells_scanned is unknown before the stream runs, so
   // the work estimate uses whole-chunk cell counts. Still workload-only:
-  // identical for both streaming modes and every io_threads setting.
+  // identical at every window.
   const int64_t num_visited = static_cast<int64_t>(visit.size());
   int64_t total_view_cells = 0;
   for (const GroupByResult& g : out) total_view_cells += g.num_cells();
@@ -465,62 +465,36 @@ Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
     }
   };
   // Streams chunks in visit order into the partition that owns each visit
-  // index; identical accumulation and merge order in both modes.
+  // index; identical accumulation and merge order at every window.
   auto partition_of = [&](int64_t i) {
     return num_partitions <= 1 ? int64_t{0} : i * num_partitions / num_visited;
   };
-  auto run_stream = [&](bool pipelined,
-                        const ChunkPipelineOptions& popts) -> Status {
+  auto run_stream = [&](int window) -> Status {
     reset_accumulators();
     std::vector<GroupByResult>* sink = &out;
-    auto accumulate = [&](int64_t i, ChunkId id, const Chunk& chunk) {
-      stats_.cells_scanned += chunk.CountNonNull();
-      if (num_partitions > 1) sink = &partials[partition_of(i)];
-      AccumulateChunkIntoGroupBys(layout, id, chunk, sink);
-    };
-    if (!pipelined) {
-      for (int64_t i = 0; i < num_visited; ++i) {
-        OLAP_RETURN_IF_ERROR(options.cancel.Poll("rollup stream"));
-        Result<Chunk> chunk = disk->FetchChunk(visit[i]);
-        if (!chunk.ok()) return chunk.status();
-        accumulate(i, visit[i], *chunk);
-      }
-    } else {
-      ChunkPipeline pipeline(disk, visit, popts);
-      for (int64_t i = 0; i < num_visited; ++i) {
-        Result<ChunkPipeline::Pin> pin = pipeline.Next();
-        if (!pin.ok()) return pin.status();
-        accumulate(i, pin->id(), pin->chunk());
-      }
-    }
-    return Status::Ok();
+    int64_t i = 0;
+    return StreamSchedule(
+        disk, visit, window, options.cancel,
+        [&](ChunkId id, const Chunk& chunk) {
+          stats_.cells_scanned += chunk.CountNonNull();
+          if (num_partitions > 1) sink = &partials[partition_of(i)];
+          AccumulateChunkIntoGroupBys(layout, id, chunk, sink);
+          ++i;
+        });
   };
 
-  static Counter* lookahead_retries =
-      MetricsRegistry::Global().counter("agg.outofcore.lookahead_retries");
-  static Counter* sync_fallbacks =
-      MetricsRegistry::Global().counter("agg.outofcore.sync_fallbacks");
-
-  ChunkPipelineOptions popts = options.pipeline;
-  popts.cancel = options.cancel;
-  bool pipelined = options.pipelined;
-  Status stream_status = run_stream(pipelined, popts);
-  // Degradation ladder (DESIGN.md §11): a kResourceExhausted pipelined
-  // stream — pin budget wedged by the consumer, or the device out of
-  // quota — retries with the lookahead window halved (shrinking the
-  // derived pin budget with it), then falls back to the synchronous
-  // per-chunk loop; only a sync pass that still fails surfaces the error.
-  while (stream_status.code() == StatusCode::kResourceExhausted && pipelined) {
-    if (popts.lookahead > 1) {
-      popts.lookahead = std::max(1, popts.lookahead / 2);
-      lookahead_retries->Increment();
-      if (options.on_degrade) options.on_degrade("lookahead_halved");
-    } else {
-      pipelined = false;
-      sync_fallbacks->Increment();
-      if (options.on_degrade) options.on_degrade("sync_io");
-    }
-    stream_status = run_stream(pipelined, popts);
+  int window = std::max(1, options.window);
+  Status stream_status = run_stream(window);
+  // Degradation ladder (DESIGN.md §11): a kResourceExhausted coalesced
+  // stream — the device out of quota for a ranged read — restarts as the
+  // per-chunk loop; only a per-chunk pass that still fails surfaces it.
+  if (stream_status.code() == StatusCode::kResourceExhausted && window > 1) {
+    static Counter* sync_fallbacks =
+        MetricsRegistry::Global().counter("agg.outofcore.sync_fallbacks");
+    sync_fallbacks->Increment();
+    if (options.on_degrade) options.on_degrade("sync_io");
+    window = 1;
+    stream_status = run_stream(window);
   }
   if (!stream_status.ok()) {
     span.SetError(stream_status);
@@ -534,7 +508,7 @@ Result<std::vector<GroupByResult>> ChunkAggregator::ComputeOutOfCore(
 
   span.SetDetail("masks=" + std::to_string(masks.size()) +
                  " chunks=" + std::to_string(stats_.chunks_read) +
-                 (options.pipelined ? " pipelined" : " sync"));
+                 " window=" + std::to_string(window));
   MetricsRegistry& reg = MetricsRegistry::Global();
   static Counter* rollups = reg.counter("agg.rollups");
   static Counter* chunks_read = reg.counter("agg.chunks_read");

@@ -71,30 +71,27 @@ class ChunkAggregator {
   // (which must store this aggregator's cube) instead of the in-memory
   // chunk map. The traversal order, the workload-only partition plan, and
   // the ascending partial merge are the same as Compute's, and chunks are
-  // accumulated strictly in traversal order — so the two streaming modes
-  // below are bit-identical to each other at every io_threads setting:
-  //   * pipelined=false: synchronous FetchChunk per visited chunk (the
-  //     oracle — compute stalls on every virtual+real read);
-  //   * pipelined=true:  chunks stream through a ChunkPipeline (prefetch,
-  //     coalesced ranged reads, bounded pin table), one pin held at a time.
+  // accumulated strictly in traversal order through StreamSchedule
+  // (storage/chunk_pipeline.h) — so the result is bit-identical at every
+  // window: window 1 is the per-chunk read loop, larger windows coalesce
+  // adjacent chunk ids into single ranged reads.
   // kFailedPrecondition without a backing file; read errors propagate —
-  // except kResourceExhausted from the pipelined mode, which walks a
-  // degradation ladder first: the stream is retried with the lookahead
-  // window halved (repeatedly, down to 1), then falls back to the
-  // synchronous per-chunk loop, and only a still-failing sync pass
-  // surfaces the error. Each retry restarts accumulation from scratch, so
-  // the delivered numbers are exactly the successful pass's (bit-identical
-  // to an undegraded run). Rungs taken are reported through `on_degrade`
-  // and the agg.outofcore.* counters.
+  // except kResourceExhausted at window > 1, which takes the sync_io rung
+  // of the degradation ladder first: the stream restarts at window 1, and
+  // only a still-failing per-chunk pass surfaces the error. The retry
+  // restarts accumulation from scratch, so the delivered numbers are
+  // exactly the successful pass's (bit-identical to an undegraded run).
+  // The rung is reported through `on_degrade` and
+  // agg.outofcore.sync_fallbacks.
   struct OutOfCoreOptions {
-    bool pipelined = false;
-    ChunkPipelineOptions pipeline;
-    // Polled per streamed chunk; also threaded into the pipeline. On a
-    // stop request ComputeOutOfCore returns kCancelled/kDeadlineExceeded
-    // (cancellation is terminal: the ladder does not retry it).
+    // Read window of the stream (kReadWindow; 1 = one read per chunk).
+    int window = kReadWindow;
+    // Polled before every read. On a stop request ComputeOutOfCore
+    // returns kCancelled/kDeadlineExceeded (cancellation is terminal: the
+    // ladder does not retry it).
     CancellationToken cancel;
-    // Ladder-step callback ("lookahead_halved", "sync_io"); the engine
-    // wires this to QueryContext::RecordDegradation. May be empty.
+    // Ladder-step callback ("sync_io"); the engine wires this to
+    // QueryContext::RecordDegradation. May be empty.
     std::function<void(const char*)> on_degrade;
   };
   Result<std::vector<GroupByResult>> ComputeOutOfCore(

@@ -11,6 +11,7 @@
 #include "common/thread_pool.h"
 #include "mdx/parser.h"
 #include "rules/evaluator.h"
+#include "storage/chunk_pipeline.h"
 #include "whatif/scenario_algebra.h"
 
 namespace olap {
@@ -132,11 +133,49 @@ void RecordNamedDegradation(QueryContext* ctx, const char* name) {
   const std::string_view step(name);
   if (step == "batched_eval_off") {
     ctx->RecordDegradation(DegradeStep::kBatchedEvalOff);
-  } else if (step == "lookahead_halved") {
-    ctx->RecordDegradation(DegradeStep::kLookaheadHalved);
   } else if (step == "sync_io") {
     ctx->RecordDegradation(DegradeStep::kSyncIo);
   }
+}
+
+// Whether batched evaluation of `q` reads the stored cube — the only cube
+// a backing file holds: no allocation rewrote it and no visual what-if
+// swapped in the perspective output.
+bool EvaluatesStoredCube(const BoundQuery& q) {
+  if (!q.allocations.empty()) return false;
+  for (const WhatIfSpec& spec : q.specs) {
+    if (spec.mode == EvalMode::kVisual) return false;
+  }
+  return true;
+}
+
+// A query's out-of-core I/O shape (DESIGN.md §10), decided by PlanIo alone
+// for Execute, COMPARE and EXPLAIN.
+struct IoPlan {
+  // Read window of the what-if read passes (1 = one read per chunk).
+  int window = 1;
+  // Batched-eval scratch views stream from the disk's backing file.
+  bool stream_scratch = false;
+};
+
+// `stored_scratch`: the query's scratch views would be built on the stored
+// cube (EvaluatesStoredCube). A governed query (`ctx`) reserves the
+// window's chunk buffer from its memory budget for the rest of the query;
+// a denial takes the sync_io rung — window 1 and scratch views from the
+// resident cube — recorded on `ctx`.
+IoPlan PlanIo(const QueryOptions& options, const Cube& cube,
+              bool stored_scratch, QueryContext* ctx) {
+  IoPlan plan;
+  if (!options.pipelined_io || options.disk == nullptr) return plan;
+  if (ctx != nullptr &&
+      !ctx->TryReserveCells(kReadWindow * cube.layout().cells_per_chunk())) {
+    ctx->RecordDegradation(DegradeStep::kSyncIo);
+    return plan;
+  }
+  plan.window = kReadWindow;
+  plan.stream_scratch =
+      options.batched_eval && stored_scratch && options.disk->has_backing();
+  return plan;
 }
 
 }  // namespace
@@ -224,28 +263,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     result.used_whatif = true;
   }
 
-  // Out-of-core pipeline configuration, shared by the what-if read passes
-  // and the batched-eval scratch materialization below.
-  ChunkPipelineOptions pipeline_options;
-  pipeline_options.lookahead = std::max(1, options.pipeline_lookahead);
-  pipeline_options.pin_budget = options.chunk_memory_budget;
-  pipeline_options.io_threads = std::max(1, options.eval_threads);
-  pipeline_options.cancel = cancel;
-  const ChunkPipelineOptions* pipeline =
-      options.pipelined_io && options.disk != nullptr ? &pipeline_options
-                                                      : nullptr;
-  // Ladder at pipeline setup: under pressure the prefetch window is halved
-  // (sheds pinned-chunk budget); under *memory* pressure pipelined I/O is
-  // dropped entirely for the synchronous per-chunk loop. Results are
-  // bit-identical either way — only I/O shape changes.
-  if (ctx != nullptr && pipeline != nullptr && ctx->UnderPressure()) {
-    pipeline_options.lookahead = std::max(1, pipeline_options.lookahead / 2);
-    ctx->RecordDegradation(DegradeStep::kLookaheadHalved);
-    if (ctx->UnderMemoryPressure()) {
-      pipeline = nullptr;
-      ctx->RecordDegradation(DegradeStep::kSyncIo);
-    }
-  }
+  const IoPlan io = PlanIo(options, **cube, EvaluatesStoredCube(*bound), ctx);
 
   if (!specs.empty()) {
     // Single-what-if queries can confine the instance merge (Sec. 6.3).
@@ -268,7 +286,7 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     scenario_options.disk = options.disk;
     scenario_options.stats = &result.whatif_stats;
     scenario_options.eval_threads = options.eval_threads;
-    scenario_options.pipeline = pipeline;
+    scenario_options.io_window = io.window;
     scenario_options.cancel = cancel;
     Result<PerspectiveCube> computed =
         ComposeScenarios(*active, scenarios, scenario_options);
@@ -406,12 +424,10 @@ Result<QueryResult> Executor::ExecuteImpl(std::string_view mdx_text,
     }
     // Out-of-core scratch materialization is only sound when the backing
     // file stores the evaluation cube itself (a what-if transform lives in
-    // memory only, never on the simulated device).
-    if (pipeline != nullptr && options.disk->has_backing() &&
-        eval_cube == *cube) {
+    // memory only, never on the simulated device); PlanIo's static rule
+    // says so, and the pointer check keeps it honest.
+    if (io.stream_scratch && eval_cube == *cube) {
       batch_options.out_of_core_disk = options.disk;
-      batch_options.pipelined_io = true;
-      batch_options.pipeline = pipeline_options;
     }
     batch.emplace(*eval_cube, cache, batch_options);
     std::vector<std::vector<std::pair<int, AxisRef>>> row_over, col_over;
@@ -688,14 +704,13 @@ Result<QueryResult> Executor::ExecuteCompare(const mdx::ParsedQuery& parsed,
   copts.eval.stats = &result.whatif_stats;
   copts.eval.eval_threads = options.eval_threads;
   copts.eval.cancel = cancel;
-  ChunkPipelineOptions pipeline_options;
-  pipeline_options.lookahead = std::max(1, options.pipeline_lookahead);
-  pipeline_options.pin_budget = options.chunk_memory_budget;
-  pipeline_options.io_threads = std::max(1, options.eval_threads);
-  pipeline_options.cancel = cancel;
-  if (options.pipelined_io && options.disk != nullptr) {
-    copts.eval.pipeline = &pipeline_options;
-  }
+  // The shared scratch views are built on the stored cube when both sides
+  // are non-visual (CompareScenarios), so both sides decide streaming.
+  const IoPlan io = PlanIo(options, **cube,
+                           EvaluatesStoredCube(*ba) && EvaluatesStoredCube(*bb),
+                           ctx);
+  copts.eval.io_window = io.window;
+  if (io.stream_scratch) copts.batch.out_of_core_disk = options.disk;
   copts.batched_eval = options.batched_eval;
   if (copts.batched_eval && ctx != nullptr && ctx->UnderPressure()) {
     // Same first ladder rung as ordinary queries: the shared scratch views
@@ -800,10 +815,12 @@ Result<QueryResult> Executor::Execute(std::string_view mdx_text,
   return r;
 }
 
-// Plan text for one (sub-)query; COMPARE queries render one block per side.
+// Plan text for one (sub-)query; COMPARE queries render one block per side,
+// `partner` being the other side (its mode decides scratch streaming too).
 static Result<std::string> ExplainOne(const Database* db,
                                       const mdx::ParsedQuery& parsed,
-                                      const QueryOptions& options) {
+                                      const QueryOptions& options,
+                                      const mdx::ParsedQuery* partner) {
   std::string cube_name = Join(parsed.cube_name, ".");
   Result<const Cube*> cube = db->FindCube(cube_name);
   if (!cube.ok()) return cube.status();
@@ -864,16 +881,27 @@ static Result<std::string> ExplainOne(const Database* db,
                 : "multiple-MDX simulation") +
            "\n";
   }
+  if (options.disk != nullptr) {
+    bool stored_scratch = EvaluatesStoredCube(*bound);
+    if (partner != nullptr) {
+      Result<BoundQuery> other =
+          mdx::Bind(*partner, (*cube)->schema(), db, *cube);
+      if (!other.ok()) return other.status();
+      stored_scratch = stored_scratch && EvaluatesStoredCube(*other);
+    }
+    const IoPlan io = PlanIo(options, **cube, stored_scratch, nullptr);
+    out += "I/O: read window " + std::to_string(io.window) +
+           (io.stream_scratch
+                ? ", scratch views streamed from the backing file\n"
+                : ", scratch views from the resident cube\n");
+  }
   const AggregateCache* cache = db->aggregates(cube_name);
   if (cache != nullptr) {
     // Persistent views serve whenever derived cells evaluate on the stored
     // cube: plain queries and non-visual what-if. Visual mode and
     // allocations evaluate a transformed cube, where only the per-query
     // scratch views built by batched evaluation apply.
-    bool transformed = !bound->allocations.empty();
-    for (const WhatIfSpec& spec : bound->specs) {
-      if (spec.mode == EvalMode::kVisual) transformed = true;
-    }
+    const bool transformed = !EvaluatesStoredCube(*bound);
     int resident = 0;
     for (int i = 0; i < cache->num_views(); ++i) {
       if (cache->view_resident(i)) ++resident;
@@ -897,15 +925,17 @@ Result<std::string> Executor::Explain(std::string_view mdx_text,
   Result<mdx::ParsedQuery> parsed = mdx::Parse(mdx_text);
   if (!parsed.ok()) return parsed.status();
   if (parsed->compare_to != nullptr) {
-    Result<std::string> a = ExplainOne(db_, *parsed, options);
+    Result<std::string> a =
+        ExplainOne(db_, *parsed, options, parsed->compare_to.get());
     if (!a.ok()) return a.status();
-    Result<std::string> b = ExplainOne(db_, *parsed->compare_to, options);
+    Result<std::string> b =
+        ExplainOne(db_, *parsed->compare_to, options, &*parsed);
     if (!b.ok()) return b.status();
     return "compare: delta grid (scenario A - scenario B), shared cover "
            "views over common refs\n-- scenario A --\n" +
            *a + "-- scenario B --\n" + *b;
   }
-  return ExplainOne(db_, *parsed, options);
+  return ExplainOne(db_, *parsed, options, nullptr);
 }
 
 std::string QueryProfile::ToText() const {

@@ -49,19 +49,17 @@ struct QueryOptions {
   // Values are identical either way on exactly-summable data; sums are
   // re-associated, so the last float bits can differ otherwise.
   bool batched_eval = true;
-  // Out-of-core pipeline (needs `disk`): what-if read passes charge the
-  // pebbling schedule through ChunkPipeline's windowed coalescing instead
-  // of one seek per chunk, and — when the disk has a backing file storing
-  // the evaluation cube — batched-eval scratch views stream their chunks
-  // from the backing file through an async prefetch pipeline. Results are
-  // bit-identical with the option off; only I/O cost and overlap change.
+  // Out-of-core reads (needs `disk`): what-if read passes charge the
+  // pebbling schedule in coalesced runs of adjacent chunk ids within a
+  // window of kReadWindow (16) schedule entries instead of one seek per
+  // chunk, and — when the disk has a backing file storing the evaluation
+  // cube — batched-eval scratch views stream their chunks from the file in
+  // the same coalesced ranged reads, synchronously on the query thread.
+  // Results are bit-identical with the option off; only the I/O shape
+  // changes. A governed query reserves the window's chunk buffer from its
+  // memory budget; a denial takes the sync_io rung (window 1, scratch
+  // views from the resident cube). EXPLAIN's "I/O:" line shows the plan.
   bool pipelined_io = false;
-  // Prefetch window of the pipeline (schedule entries eligible for
-  // coalescing / in-flight fetches).
-  int pipeline_lookahead = 16;
-  // Pinned-chunk memory budget (chunks). <= 0 resolves per pass to
-  // max(peak_pebbles, lookahead) — the Sec. 5.2 pebble count.
-  int64_t chunk_memory_budget = 0;
   // Query governance: deadline, cooperative cancellation and memory budget
   // (see engine/governor.h). Inactive by default — governed queries create
   // a QueryContext whose token is threaded through every phase and whose

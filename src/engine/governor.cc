@@ -34,7 +34,6 @@ Counter* StepCounter(DegradeStep step) {
   // One counter per rung, named governor.degrade.<step>.
   static Counter* counters[] = {
       MetricsRegistry::Global().counter("governor.degrade.batched_eval_off"),
-      MetricsRegistry::Global().counter("governor.degrade.lookahead_halved"),
       MetricsRegistry::Global().counter("governor.degrade.sync_io"),
       MetricsRegistry::Global().counter("governor.degrade.serial_rollup"),
   };
@@ -49,8 +48,6 @@ const char* DegradeStepName(DegradeStep step) {
   switch (step) {
     case DegradeStep::kBatchedEvalOff:
       return "batched_eval_off";
-    case DegradeStep::kLookaheadHalved:
-      return "lookahead_halved";
     case DegradeStep::kSyncIo:
       return "sync_io";
     case DegradeStep::kSerialRollup:

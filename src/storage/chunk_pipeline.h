@@ -1,10 +1,8 @@
 #ifndef OLAP_STORAGE_CHUNK_PIPELINE_H_
 #define OLAP_STORAGE_CHUNK_PIPELINE_H_
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <utility>
+#include <functional>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -15,167 +13,61 @@
 
 namespace olap {
 
-// Tuning knobs for the out-of-core chunk pipeline (DESIGN.md §10).
-struct ChunkPipelineOptions {
-  // Schedule entries the producer may run ahead of the consumer. The
-  // lookahead window is also the coalescing horizon: only ids visible in
-  // the window can be merged into one ranged read.
-  int lookahead = 16;
-  // Pin-table capacity: the maximum number of chunks resident at once
-  // (in-flight + ready + delivered-but-unreleased). <= 0 derives
-  // max(peak_pebbles, lookahead) where the caller knows the pebbling peak,
-  // else max(lookahead, 1) — the paper's Sec. 5.2 pebble count becomes an
-  // enforced memory budget.
-  int64_t pin_budget = 0;
-  // Concurrent fetch batches outstanding on the shared ThreadPool.
-  int io_threads = 2;
-  // Merge window-visible runs of adjacent chunk ids into single ranged
-  // reads (one seek per run under the Fig. 12 cost model). Off = one
-  // batch per schedule entry, still asynchronous.
-  bool coalesce = true;
-  // Cooperative stop signal. Once tripped: no new fetch batches are
-  // issued, in-flight batches abandon their reads, and Next() returns the
-  // token's status (kCancelled / kDeadlineExceeded) within ~2ms instead of
-  // blocking on outstanding I/O. Pins stay valid; the destructor still
-  // drains and returns every budget slot.
-  CancellationToken cancel;
+// The out-of-core reader's window (DESIGN.md §10): how many schedule
+// entries past the first unread one may join its coalesced ranged read,
+// and so the most chunks the reader ever buffers. Window 1 is the plain
+// per-chunk loop: one read per schedule entry, nothing buffered.
+inline constexpr int kReadWindow = 16;
+
+// One coalesced ranged read: chunk ids [begin, begin + count), serving the
+// schedule entries at `positions` (ascending; a revisited id serves more
+// than one entry).
+struct ScheduleRun {
+  ChunkId begin = 0;
+  int count = 0;
+  std::vector<int64_t> positions;
 };
 
-// Counters for one pipeline instance (process-wide metrics mirror these
-// under pipeline.*).
-struct ChunkPipelineStats {
-  int64_t chunks_delivered = 0;
-  int64_t prefetch_issued = 0;   // Chunk slots issued to fetch batches.
-  int64_t read_batches = 0;      // Ranged reads issued.
-  int64_t coalesced_reads = 0;   // Batches spanning > 1 chunk.
-  int64_t ready_hits = 0;        // Next() calls served without blocking.
-  int64_t stall_waits = 0;       // Next() calls that had to wait.
-  int64_t pins_evicted = 0;      // Ready chunks dropped to unblock the head.
-  double stall_seconds = 0.0;    // Total time Next() spent blocked.
-  int64_t peak_pinned = 0;       // Watermark of resident chunks.
+// Splits `schedule` into the ranged reads of a windowed reader, in issue
+// order. Each run is anchored at the first schedule entry no earlier run
+// serves (the head): it is the maximal interval of adjacent chunk ids
+// around the head's id among the unserved entries within `window`
+// positions of the head, and it serves every such entry. Runs therefore
+// never span more than `window` ids, and a reader that hands chunks out
+// in schedule order buffers at most `window` of them. Pure and
+// deterministic: the plan depends only on (schedule, window).
+std::vector<ScheduleRun> PlanScheduleRuns(const std::vector<ChunkId>& schedule,
+                                          int window);
+
+// Charges the planned runs of `schedule` to `disk` (one ReadRun each, in
+// issue order) without reading data — the perspective-cube read passes.
+// Returns the virtual seconds charged. Window 1 charges exactly what a
+// ReadChunk per entry does.
+double ChargeSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                      int window);
+
+// What one StreamSchedule call did.
+struct StreamStats {
+  int64_t reads = 0;            // Ranged reads issued.
+  int64_t coalesced_reads = 0;  // Reads spanning > 1 chunk.
+  int64_t peak_buffered = 0;    // Most chunks held at once (<= window).
 };
 
-// Streams the chunks of a SimulatedDisk backing file to a consumer in a
-// fixed schedule order (normally the Sec. 5.2 pebbling order), prefetching
-// ahead of the consumer through a bounded pin table.
+// Streams the chunks of `schedule` from `disk`'s backing file to `fn`,
+// strictly in schedule order, on the calling thread. Each planned run is
+// one FetchRun — the ReadRun charge plus one ranged, CRC-verified read —
+// inside a `pipeline.fetch_batch` span; chunks a run fetched ahead of
+// their turn wait in a buffer of at most `window` chunks. `cancel` is
+// polled before every read.
 //
-//   * The producer walks the schedule with a lookahead window, groups the
-//     window's unissued ids into maximal runs of adjacent chunk ids, and
-//     issues each run as ONE ranged, CRC-verified file read decoded on a
-//     shared ThreadPool worker.
-//   * The cost model is charged at issue time, on the consumer's thread,
-//     in issue order — data reads never race on the head-position
-//     accounting. (Run *formation* can still vary with fetch timing at
-//     io_threads > 1; ChargeSchedule below is the fully deterministic
-//     twin used where reproducible virtual seconds matter.)
-//   * Chunks are handed out strictly in schedule order as RAII Pins. A
-//     chunk stays pinned (counted against the budget) from issue until its
-//     Pin is destroyed; when the pin table is full the producer stops
-//     issuing (back-pressure) until a Pin releases.
-//
-// Contract: one consumer thread calls Next() and releases Pins; Pins must
-// not outlive the pipeline. If the consumer holds `pin_budget` live Pins
-// while the next scheduled chunk is still unissued, Next() returns
-// kResourceExhausted instead of deadlocking — the budget must exceed the
-// peak number of simultaneously held pins (= the pebbling peak when the
-// schedule is a pebbling order).
-//
-// Results are bit-identical to a synchronous FetchChunk loop over the same
-// schedule at every io_threads setting: delivery order is the schedule
-// order, and decoding is pure.
-class ChunkPipeline {
- public:
-  // A chunk pinned in the pipeline's pin table. Releases its budget slot
-  // on destruction (or Release()), which un-blocks the producer.
-  class Pin {
-   public:
-    Pin() = default;
-    ~Pin() { Release(); }
-    Pin(Pin&& other) noexcept { *this = std::move(other); }
-    Pin& operator=(Pin&& other) noexcept;
-    Pin(const Pin&) = delete;
-    Pin& operator=(const Pin&) = delete;
-
-    bool valid() const { return pipeline_ != nullptr; }
-    ChunkId id() const { return id_; }
-    const Chunk& chunk() const { return chunk_; }
-    void Release();
-
-   private:
-    friend class ChunkPipeline;
-    ChunkPipeline* pipeline_ = nullptr;
-    ChunkId id_ = 0;
-    Chunk chunk_;
-  };
-
-  // `disk` must have a backing file attached and must outlive the
-  // pipeline. Prefetching starts immediately.
-  ChunkPipeline(SimulatedDisk* disk, std::vector<ChunkId> schedule,
-                const ChunkPipelineOptions& options);
-  // Drains outstanding fetch batches (blocks until workers finish).
-  ~ChunkPipeline();
-
-  ChunkPipeline(const ChunkPipeline&) = delete;
-  ChunkPipeline& operator=(const ChunkPipeline&) = delete;
-
-  // Blocks until the next scheduled chunk is resident and returns it
-  // pinned. kOutOfRange once the schedule is drained; kResourceExhausted
-  // on a pin-budget deadlock (see class comment); otherwise the first
-  // fetch error, after which the pipeline is closed.
-  Result<Pin> Next();
-
-  bool Done() const;
-  int64_t pin_budget() const { return pin_budget_; }
-  // Snapshot of this pipeline's counters.
-  ChunkPipelineStats stats() const;
-
-  // Charge-only twin of the pipeline for passes that account I/O without
-  // materializing data (the perspective-cube read passes): walks `schedule`
-  // with the same lookahead window and run coalescing, charging
-  // disk->ReadRun per batch in schedule order. Returns the virtual seconds
-  // charged. Deterministic — runs entirely on the calling thread.
-  static double ChargeSchedule(SimulatedDisk* disk,
-                               const std::vector<ChunkId>& schedule,
-                               const ChunkPipelineOptions& options);
-
- private:
-  enum class SlotState { kPending, kInFlight, kReady, kFailed, kDelivered };
-  struct Slot {
-    SlotState state = SlotState::kPending;
-    Chunk chunk;
-    Status status = Status::Ok();
-  };
-  struct Batch {
-    ChunkId begin = 0;
-    int count = 0;
-    // Slot indices to fill, grouped by id offset within [begin, begin+count).
-    std::vector<std::vector<int64_t>> slots;
-  };
-
-  void MaybeIssueLocked();
-  void RunBatch(Batch batch);
-  void ReleaseOne();
-
-  SimulatedDisk* const disk_;
-  const std::vector<ChunkId> schedule_;
-  const CancellationToken cancel_;
-  const int lookahead_;
-  const int64_t pin_budget_;
-  const int io_threads_;
-  const bool coalesce_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<Slot> slots_;
-  // Reused (id, schedule position) window buffer for MaybeIssueLocked;
-  // guarded by mu_ like the rest of the issue state.
-  std::vector<std::pair<ChunkId, int64_t>> window_scratch_;
-  int64_t next_deliver_ = 0;
-  int64_t pinned_ = 0;
-  int in_flight_batches_ = 0;
-  bool cancelled_ = false;
-  ChunkPipelineStats stats_;
-};
+// Returns the first read error or the token's stop status; `fn` has then
+// seen a prefix of the schedule. The data handed to `fn`, the charges and
+// the resulting SimulatedDisk stats are identical on every run and
+// thread count; the data is the same at every window.
+Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                      int window, const CancellationToken& cancel,
+                      const std::function<void(ChunkId, const Chunk&)>& fn,
+                      StreamStats* stats = nullptr);
 
 }  // namespace olap
 

@@ -405,34 +405,6 @@ Status WriteCubeFileV2(const Cube& cube, const SaveOptions& options,
   return chunk_status;
 }
 
-Status WriteCubeFileV1(const Cube& cube, const SaveOptions& options,
-                       WritableFile* file) {
-  std::string head(kMagicV1, sizeof(kMagicV1));
-  BufWriter hw(&head);
-  hw.U32(options.compress ? 1 : 0);
-  OLAP_RETURN_IF_ERROR(file->Append(head));
-  OLAP_RETURN_IF_ERROR(file->Append(SerializeSchema(cube)));
-  OLAP_RETURN_IF_ERROR(file->Append(SerializeLayout(cube)));
-
-  std::string count;
-  BufWriter cw(&count);
-  cw.U64(static_cast<uint64_t>(cube.NumStoredChunks()));
-  OLAP_RETURN_IF_ERROR(file->Append(count));
-
-  Status chunk_status;
-  cube.ForEachChunk([&](ChunkId id, const Chunk& chunk) {
-    if (!chunk_status.ok()) return;
-    std::string record;
-    BufWriter w(&record);
-    w.U64(static_cast<uint64_t>(id));
-    std::string payload = SerializeChunkPayload(chunk, options.compress);
-    if (options.compress) w.U32(static_cast<uint32_t>(payload.size()));
-    w.Raw(payload.data(), payload.size());
-    chunk_status = file->Append(record);
-  });
-  return chunk_status;
-}
-
 // ---------------------------------------------------------------------------
 // Reading.
 
@@ -627,10 +599,6 @@ Result<Cube> LoadV1(std::string_view data, const std::string& path,
 
 Status SaveCubeImpl(const Cube& cube, const std::string& path,
                     const SaveOptions& options) {
-  if (options.format_version != 1 && options.format_version != 2) {
-    return Status::InvalidArgument("unsupported cube format version " +
-                                   std::to_string(options.format_version));
-  }
   Env* env = options.env != nullptr ? options.env : Env::Default();
 
   // Durability protocol: write a temp file, fsync, then atomically rename
@@ -640,9 +608,7 @@ Status SaveCubeImpl(const Cube& cube, const std::string& path,
   Result<std::unique_ptr<WritableFile>> file = env->NewWritableFile(tmp);
   if (!file.ok()) return file.status();
 
-  Status written = options.format_version == 2
-                       ? WriteCubeFileV2(cube, options, file->get())
-                       : WriteCubeFileV1(cube, options, file->get());
+  Status written = WriteCubeFileV2(cube, options, file->get());
   if (written.ok() && options.sync) written = (*file)->Sync();
   Status closed = (*file)->Close();
   if (written.ok()) written = closed;

@@ -51,8 +51,9 @@ namespace olap {
 // ## Version 1 compatibility
 //
 // Files with magic "OLAPCUB1" (no checksums, unframed chunk records) are
-// still read. LoadCube detects the version from the magic; SaveOptions
-// can still write v1 for compatibility testing. LoadCube rejects unknown
+// still read; LoadCube detects the version from the magic. Saves always
+// write OLAPCUB2 (the tests rebuild v1 bytes from it to keep
+// read-compatibility covered). LoadCube rejects unknown
 // magics with kInvalidArgument and any corruption with kDataLoss — it
 // returns a typed Status on every malformed input, never crashes.
 
@@ -69,9 +70,6 @@ struct SaveOptions {
   // fsync before the final rename. Disable only where durability does not
   // matter (benchmarks).
   bool sync = true;
-  // 2 writes OLAPCUB2 (checksummed); 1 writes the legacy OLAPCUB1 format,
-  // kept so read-compatibility stays tested.
-  int format_version = 2;
   Env* env = nullptr;  // nullptr -> Env::Default().
 };
 

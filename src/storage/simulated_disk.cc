@@ -36,8 +36,8 @@ struct DiskMetrics {
 
 SimulatedDisk::StatStripe& SimulatedDisk::LocalStripe() {
   // One stripe per thread (hashed): a charging thread always lands on the
-  // same stripe, so serial and pipeline-issued charges keep the exact
-  // accumulation order the single-mutex implementation had.
+  // same stripe, so serial charges keep the exact accumulation order the
+  // single-mutex implementation had.
   static thread_local size_t slot =
       std::hash<std::thread::id>{}(std::this_thread::get_id());
   return stripes_[slot % kStatStripes];
@@ -203,11 +203,11 @@ Result<Chunk> SimulatedDisk::FetchChunk(ChunkId id) {
   return chunk;
 }
 
-Result<std::vector<Chunk>> SimulatedDisk::ReadBackingRun(ChunkId begin,
-                                                         int count) const {
+Result<std::vector<Chunk>> SimulatedDisk::FetchRun(ChunkId begin, int count) {
   if (backing_file_ == nullptr) {
     return Status::FailedPrecondition("no backing file attached");
   }
+  ReadRun(begin, count);
   Result<std::vector<Chunk>> chunks =
       ReadIndexedChunkRun(backing_file_.get(), backing_index_, begin, count);
   if (!chunks.ok()) {
@@ -215,21 +215,6 @@ Result<std::vector<Chunk>> SimulatedDisk::ReadBackingRun(ChunkId begin,
         MetricsRegistry::Global().counter("disk.fetch_failures");
     failures->Increment();
   }
-  return chunks;
-}
-
-Result<std::vector<Chunk>> SimulatedDisk::FetchRun(ChunkId begin, int count) {
-  TraceSpan span("disk.fetch_run");
-  span.SetDetail("begin=" + std::to_string(begin) +
-                 " count=" + std::to_string(count));
-  if (backing_file_ == nullptr) {
-    Status status = Status::FailedPrecondition("no backing file attached");
-    span.SetError(status);
-    return status;
-  }
-  ReadRun(begin, count);
-  Result<std::vector<Chunk>> chunks = ReadBackingRun(begin, count);
-  if (!chunks.ok()) span.SetError(chunks.status());
   return chunks;
 }
 

@@ -48,17 +48,17 @@ struct IoStats {
 
 // Charges virtual I/O time for chunk accesses, with an LRU cache in front.
 // The engine's evaluation strategies call ReadChunk for every chunk they
-// visit; benchmarks add stats().virtual_seconds to measured CPU time.
+// visit; benchmarks read stats().virtual_seconds as the modeled I/O time.
 //
 // Thread-safe. The cache and head position are inherently sequential (the
 // cost of an access depends on the previous one), so they stay behind one
-// mutex — but the critical section is now just the cache touch and the
+// mutex — but the critical section is just the cache touch and the
 // head/seek arithmetic. Statistics accumulate in cache-line-padded stripes
 // of relaxed atomics outside the lock and are merged on demand by stats(),
-// so parallel fetches no longer serialise on stats accounting. The cost
-// model itself stays deterministic for pipelined readers because the
-// ChunkPipeline charges in schedule order from one thread (see
-// storage/chunk_pipeline.h); only the data reads fan out.
+// so parallel fetches do not serialise on stats accounting. The engine's
+// out-of-core reader (storage/chunk_pipeline.h) charges from one thread in
+// a plan fixed by the schedule, so its virtual seconds and seek totals are
+// the same on every run.
 //
 // Optionally backed by a real OLAPCUB2 cube file via AttachBackingFile:
 // FetchChunk/FetchRun then route cache misses through the Env as ranged,
@@ -96,14 +96,10 @@ class SimulatedDisk {
   Result<Chunk> FetchChunk(ChunkId id);
 
   // Ranged fetch: charges ReadRun(begin, count) and reads the chunks'
-  // records with one ranged file read.
+  // records with one ranged, CRC-verified file read (positional, so
+  // concurrent calls are safe). kNotFound if any id in the range is not
+  // stored.
   Result<std::vector<Chunk>> FetchRun(ChunkId begin, int count);
-
-  // Data-only ranged read of backing chunks [begin, begin + count) —
-  // charges nothing. The ChunkPipeline charges the cost model separately
-  // (in schedule order, from the issuing thread) and calls this from pool
-  // workers; positional preads make concurrent calls safe.
-  Result<std::vector<Chunk>> ReadBackingRun(ChunkId begin, int count) const;
 
   // A merged snapshot of the counters (safe while other threads read;
   // exact once concurrent readers have quiesced).
@@ -118,9 +114,9 @@ class SimulatedDisk {
   // Per-stripe statistics, padded to a cache line so concurrent fetch
   // threads don't false-share. Stripes are picked by thread identity;
   // totals are exact because every field is a commutative sum. The virtual
-  // time accumulates per-stripe as a double (serial and pipelined charging
-  // stay on one stripe, preserving the exact pre-striping sums) and merges
-  // in ascending stripe order.
+  // time accumulates per-stripe as a double (serial charging stays on one
+  // stripe, preserving the exact pre-striping sums) and merges in
+  // ascending stripe order.
   struct alignas(64) StatStripe {
     std::atomic<int64_t> physical_reads{0};
     std::atomic<int64_t> cache_hits{0};

@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "rules/evaluator.h"
+#include "storage/chunk_pipeline.h"
 #include "whatif/pebbling.h"
 
 namespace olap {
@@ -42,34 +43,15 @@ Gauge* PeakMergeChunksGauge() {
   return g;
 }
 
-// Charges one read pass over `schedule`. The synchronous loop is the
-// oracle; with `pipeline` set the same schedule is charged through the
-// out-of-core pipeline's windowed run coalescing (identical chunk set,
-// fewer seeks). `peak_pebbles` > 0 resolves a defaulted pin budget.
-void ChargeReadPass(const std::vector<ChunkId>& schedule, SimulatedDisk* disk,
-                    const ChunkPipelineOptions* pipeline, int peak_pebbles) {
-  if (disk == nullptr) return;
-  if (pipeline == nullptr) {
-    for (ChunkId id : schedule) disk->ReadChunk(id);
-    return;
-  }
-  ChunkPipelineOptions opts = *pipeline;
-  if (opts.pin_budget <= 0) {
-    opts.pin_budget =
-        std::max<int64_t>(std::max(1, peak_pebbles), opts.lookahead);
-  }
-  ChunkPipeline::ChargeSchedule(disk, schedule, opts);
-}
-
 void ChargeScan(const Cube& cube, int varying_dim,
                 const std::vector<MemberId>& scope, SimulatedDisk* disk,
-                EvalStats* stats, const ChunkPipelineOptions* pipeline) {
+                EvalStats* stats, int io_window) {
   TraceSpan span("whatif.scan");
   std::vector<ChunkId> chunks = RelevantChunks(cube, varying_dim, scope);
   span.SetDetail("chunks=" + std::to_string(chunks.size()));
   ++stats->passes;
   stats->chunk_reads += static_cast<int64_t>(chunks.size());
-  ChargeReadPass(chunks, disk, pipeline, /*peak_pebbles=*/0);
+  if (disk != nullptr) ChargeSchedule(disk, chunks, io_window);
 }
 
 // Charges one relocation pass: only the chunks holding (a) instances that
@@ -82,7 +64,7 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
                           const std::vector<MemberId>& scope,
                           bool pebbling_read_order, SimulatedDisk* disk,
                           EvalStats* stats,
-                          const ChunkPipelineOptions* pipeline) {
+                          int io_window) {
   TraceSpan span("whatif.merge_scan");
   const Dimension& dim = cube.schema().dimension(varying_dim);
   std::unordered_set<MemberId> in_scope(scope.begin(), scope.end());
@@ -158,7 +140,7 @@ void ChargeRelocationScan(const Cube& cube, int varying_dim,
   }
   ++stats->passes;
   stats->chunk_reads += static_cast<int64_t>(schedule.size());
-  ChargeReadPass(schedule, disk, pipeline, stats->peak_merge_chunks);
+  if (disk != nullptr) ChargeSchedule(disk, schedule, io_window);
 }
 
 // For MultipleMdx post-processing: the index of the single-perspective run
@@ -254,7 +236,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
                                                SimulatedDisk* disk,
                                                EvalStats* stats,
                                                int eval_threads,
-                                               const ChunkPipelineOptions* pipeline,
+                                               int io_window,
                                                const CancellationToken& cancel) {
   TraceSpan span("whatif.compute_perspective_cube");
   EvalStats local_stats;
@@ -288,7 +270,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
   const Cube* base = &in;
   std::optional<Cube> intro_cube;
   if (!spec.introductions.empty()) {
-    ChargeScan(in, spec.varying_dim, {}, disk, stats, pipeline);
+    ChargeScan(in, spec.varying_dim, {}, disk, stats, io_window);
     Result<Cube> intro =
         IntroduceMembers(in, spec.varying_dim, spec.introductions,
                          eval_threads, cancel, &stats->cells_seeded);
@@ -302,7 +284,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
   if (!spec.changes.empty()) {
     std::vector<MemberId> changed;
     for (const ChangeTuple& tuple : spec.changes) changed.push_back(tuple.member);
-    ChargeScan(*base, spec.varying_dim, changed, disk, stats, pipeline);
+    ChargeScan(*base, spec.varying_dim, changed, disk, stats, io_window);
     Result<Cube> split =
         Split(*base, spec.varying_dim, spec.changes, eval_threads, cancel);
     if (!split.ok()) return fail(split.status());
@@ -345,7 +327,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     std::vector<DynamicBitset> vs_out =
         TransformValiditySets(dim, spec.perspectives, spec.semantics);
     ChargeRelocationScan(*base, spec.varying_dim, vs_out, scan_scope,
-                         spec.pebbling_read_order, disk, stats, pipeline);
+                         spec.pebbling_read_order, disk, stats, io_window);
     Cube out = Relocate(*base, spec.varying_dim, vs_out, relocate_scope,
                         /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
                         eval_threads, cancel);
@@ -369,7 +351,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(const Cube& in,
     std::vector<DynamicBitset> vs =
         TransformValiditySets(dim, single, spec.semantics);
     ChargeRelocationScan(*base, spec.varying_dim, vs, scan_scope,
-                         spec.pebbling_read_order, disk, stats, pipeline);
+                         spec.pebbling_read_order, disk, stats, io_window);
     runs.push_back(Relocate(*base, spec.varying_dim, vs, relocate_scope,
                             /*copy_out_of_scope=*/!scoped, &stats->cells_moved,
                             eval_threads, cancel));

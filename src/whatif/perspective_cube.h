@@ -9,7 +9,6 @@
 #include "common/status.h"
 #include "cube/cube.h"
 #include "rules/rule.h"
-#include "storage/chunk_pipeline.h"
 #include "storage/simulated_disk.h"
 #include "whatif/merge_graph.h"
 #include "whatif/operators.h"
@@ -126,13 +125,12 @@ class PerspectiveCube {
 // `eval_threads` parallelises the Split/Relocate data movement over the
 // shared thread pool; results are bit-identical at every thread count.
 //
-// `pipeline` (optional, needs `disk`) switches the read passes from the
-// synchronous per-chunk charge loop to the out-of-core pipeline's windowed
-// coalescing (ChunkPipeline::ChargeSchedule): the pebbling schedule is
-// walked with a lookahead window and runs of adjacent chunk ids are
-// charged as single ranged reads. A non-positive pin_budget resolves to
-// max(peak_pebbles, lookahead) per merge pass — the Sec. 5.2 pebble count
-// as a memory budget. Charging only; the computed cube is identical.
+// `io_window` sets how the read passes are charged to `disk`: 1 (the
+// default) charges one ReadChunk per scheduled chunk; a wider window walks
+// the pebbling schedule with the out-of-core reader's window
+// (ChargeSchedule, storage/chunk_pipeline.h) and charges each run of
+// adjacent chunk ids as one ranged read. Charging only; the computed cube
+// is identical.
 //
 // `cancel` is polled at pass boundaries and threaded into the Split /
 // Relocate data movement (chunk granularity); a stop request returns
@@ -141,7 +139,7 @@ Result<PerspectiveCube> ComputePerspectiveCube(
     const Cube& in, const WhatIfSpec& spec,
     EvalStrategy strategy = EvalStrategy::kDirect,
     SimulatedDisk* disk = nullptr, EvalStats* stats = nullptr,
-    int eval_threads = 1, const ChunkPipelineOptions* pipeline = nullptr,
+    int eval_threads = 1, int io_window = 1,
     const CancellationToken& cancel = {});
 
 // --- Lemma 5.1 / Sec. 5.2 planning helpers --------------------------------

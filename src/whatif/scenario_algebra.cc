@@ -108,7 +108,7 @@ Result<Cube> ApplyScenarioOps(const Cube& start, const ScenarioSpec& spec,
     EvalStats stage_stats;
     Result<PerspectiveCube> stage = ComputePerspectiveCube(
         *cur, ws, opts.strategy, opts.disk, &stage_stats, opts.eval_threads,
-        opts.pipeline, opts.cancel);
+        opts.io_window, opts.cancel);
     if (!stage.ok()) return stage.status();
     AccumulateStats(stats, stage_stats);
     held = stage->output();
@@ -182,7 +182,7 @@ Result<PerspectiveCube> ComposeScenarios(const Cube& in,
     // executor path (ComputePerspectiveCube resets and fills `stats`).
     Result<PerspectiveCube> pc = ComputePerspectiveCube(
         in, specs[0].CanonicalWhatIf(), opts.strategy, opts.disk, stats,
-        opts.eval_threads, opts.pipeline, opts.cancel);
+        opts.eval_threads, opts.io_window, opts.cancel);
     if (!pc.ok()) return fail(pc.status());
     return pc;
   }
@@ -199,7 +199,7 @@ Result<PerspectiveCube> ComposeScenarios(const Cube& in,
       EvalStats stage_stats;
       Result<PerspectiveCube> stage = ComputePerspectiveCube(
           current, spec.CanonicalWhatIf(), opts.strategy, opts.disk,
-          &stage_stats, opts.eval_threads, opts.pipeline, opts.cancel);
+          &stage_stats, opts.eval_threads, opts.io_window, opts.cancel);
       if (!stage.ok()) return fail(stage.status());
       AccumulateStats(stats, stage_stats);
       current = stage->output();

@@ -89,7 +89,7 @@ struct ScenarioEvalOptions {
   SimulatedDisk* disk = nullptr;
   EvalStats* stats = nullptr;  // Reset, then accumulated across stages.
   int eval_threads = 1;
-  const ChunkPipelineOptions* pipeline = nullptr;
+  int io_window = 1;  // See ComputePerspectiveCube.
   CancellationToken cancel;
 };
 

@@ -1,16 +1,18 @@
-// Out-of-core pipeline invariants: ranged-read cost math, coalesced
-// backing-file reads, schedule-order delivery that is bit-identical to the
-// synchronous FetchChunk oracle at every io_threads setting, pin-budget
-// back-pressure (bounded residency, graceful exhaustion instead of
-// deadlock), deterministic charge-only scheduling, and the out-of-core
-// aggregation / executor paths built on top.
+// Out-of-core reader invariants: ranged-read cost math, coalesced
+// backing-file reads, the windowed run plan (every entry served once, runs
+// and buffering bounded by the window), schedule-order delivery that is
+// bit-identical to the synchronous FetchChunk oracle at every window,
+// deterministic charging, and the out-of-core aggregation / executor paths
+// built on top.
 
 #include "storage/chunk_pipeline.h"
 
 #include <cstdio>
 #include <cstring>
 #include <numeric>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,12 +163,12 @@ TEST(FetchRunTest, RunWithMissingChunkIsNotFound) {
   ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
   ChunkId absent = 0;
   while (disk.backing_index().entries.count(absent) > 0) ++absent;
-  EXPECT_EQ(disk.ReadBackingRun(absent, 1).status().code(),
+  EXPECT_EQ(disk.FetchRun(absent, 1).status().code(),
             StatusCode::kNotFound);
   std::remove(path.c_str());
 }
 
-// ---- pipeline delivery ---------------------------------------------------
+// ---- run planning and delivery -------------------------------------------
 
 class ChunkPipelineTest : public ::testing::Test {
  protected:
@@ -218,32 +220,94 @@ class ChunkPipelineTest : public ::testing::Test {
   std::vector<ChunkId> stored_;
 };
 
+TEST_F(ChunkPipelineTest, PlanServesEveryEntryOnceWithinTheWindow) {
+  const std::vector<ChunkId> schedule = InterleavedSchedule();
+  for (int window : {1, 2, 3, 8, 16, 64}) {
+    std::vector<int> served(schedule.size(), 0);
+    int64_t head = 0;
+    for (const ScheduleRun& run : PlanScheduleRuns(schedule, window)) {
+      ASSERT_FALSE(run.positions.empty());
+      // Anchored at the first unserved entry, never wider than the window.
+      while (served[head]) ++head;
+      EXPECT_EQ(run.positions.front(), head) << "window " << window;
+      EXPECT_LE(run.count, window);
+      for (int64_t position : run.positions) {
+        EXPECT_LT(position, head + window) << "window " << window;
+        EXPECT_GE(schedule[position], run.begin);
+        EXPECT_LT(schedule[position], run.begin + run.count);
+        ++served[position];
+      }
+    }
+    for (size_t i = 0; i < schedule.size(); ++i) {
+      EXPECT_EQ(served[i], 1) << "window " << window << " entry " << i;
+    }
+  }
+}
+
 TEST_F(ChunkPipelineTest, DeliversScheduleOrderBitIdenticalAtEveryThreadCount) {
   const std::vector<ChunkId> schedule = InterleavedSchedule();
   const std::vector<Chunk> expected = SyncStream(schedule);
+  const int kWindows[] = {1, 2, 4, 8, 16, 64};
 
-  for (int io_threads : {1, 2, 4, 8}) {
+  // Streams `schedule` at `window` and counts deliveries that differ from
+  // the oracle in id or bits (plain counters: safe off the test thread).
+  auto stream = [&](SimulatedDisk* disk, int window, StreamStats* stats,
+                    int64_t* mismatches) {
+    size_t i = 0;
+    const Status status = StreamSchedule(
+        disk, schedule, window, CancellationToken(),
+        [&](ChunkId id, const Chunk& chunk) {
+          bool same = i < schedule.size() && id == schedule[i] &&
+                      chunk.size() == expected[i].size();
+          for (int64_t off = 0; same && off < chunk.size(); ++off) {
+            same = BitsOf(chunk.Get(off)) == BitsOf(expected[i].Get(off));
+          }
+          if (!same) ++*mismatches;
+          ++i;
+        },
+        stats);
+    if (!status.ok() || i != schedule.size()) ++*mismatches;
+  };
+
+  // One reader at every window: bit-identical, at most `window` chunks
+  // buffered, and charged exactly like the charge-only walk.
+  for (int window : kWindows) {
     SimulatedDisk disk(TestModel(), 0);
     ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = io_threads;
-    ChunkPipeline pipeline(&disk, schedule, options);
-    for (size_t i = 0; i < schedule.size(); ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-      ASSERT_EQ(pin->id(), schedule[i]) << "io_threads " << io_threads;
-      ExpectChunksBitIdentical(expected[i], pin->chunk(),
-                               "io_threads " + std::to_string(io_threads) +
-                                   " entry " + std::to_string(i));
+    StreamStats stats;
+    int64_t mismatches = 0;
+    stream(&disk, window, &stats, &mismatches);
+    EXPECT_EQ(mismatches, 0) << "window " << window;
+    EXPECT_EQ(stats.reads,
+              static_cast<int64_t>(PlanScheduleRuns(schedule, window).size()));
+    EXPECT_GE(stats.peak_buffered, 1);
+    EXPECT_LE(stats.peak_buffered, window);
+    SimulatedDisk charged(TestModel(), 0);
+    ChargeSchedule(&charged, schedule, window);
+    EXPECT_DOUBLE_EQ(disk.stats().virtual_seconds,
+                     charged.stats().virtual_seconds);
+    EXPECT_EQ(disk.stats().total_seek_chunks,
+              charged.stats().total_seek_chunks);
+  }
+
+  // Concurrent queries each run their own reader on the calling thread;
+  // readers sharing one disk must not disturb each other's delivery.
+  for (int threads : {2, 4, 8}) {
+    SimulatedDisk shared(TestModel(), 0);
+    ASSERT_TRUE(shared.AttachBackingFile(Env::Default(), path_).ok());
+    std::vector<int64_t> mismatches(threads, 0);
+    std::vector<StreamStats> stats(threads);
+    std::vector<std::thread> readers;
+    for (int t = 0; t < threads; ++t) {
+      readers.emplace_back([&, t] {
+        stream(&shared, kWindows[t % 6], &stats[t], &mismatches[t]);
+      });
     }
-    EXPECT_EQ(pipeline.Next().status().code(), StatusCode::kOutOfRange);
-    EXPECT_TRUE(pipeline.Done());
-    const ChunkPipelineStats stats = pipeline.stats();
-    EXPECT_EQ(stats.chunks_delivered,
-              static_cast<int64_t>(schedule.size()));
-    EXPECT_EQ(stats.prefetch_issued, static_cast<int64_t>(schedule.size()));
-    EXPECT_LE(stats.peak_pinned, pipeline.pin_budget());
+    for (std::thread& reader : readers) reader.join();
+    for (int t = 0; t < threads; ++t) {
+      EXPECT_EQ(mismatches[t], 0) << "threads " << threads << " reader " << t;
+      EXPECT_LE(stats[t].peak_buffered, kWindows[t % 6]);
+    }
   }
 }
 
@@ -253,113 +317,41 @@ TEST_F(ChunkPipelineTest, CoalescesAdjacentIdsIntoFewerReads) {
   std::vector<ChunkId> schedule(stored_.begin(), stored_.begin() + 32);
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-  ChunkPipelineOptions options;
-  options.lookahead = 16;
-  options.io_threads = 2;
-  ChunkPipeline pipeline(&disk, schedule, options);
-  while (true) {
-    Result<ChunkPipeline::Pin> pin = pipeline.Next();
-    if (!pin.ok()) {
-      ASSERT_EQ(pin.status().code(), StatusCode::kOutOfRange);
-      break;
-    }
-  }
-  const ChunkPipelineStats stats = pipeline.stats();
-  EXPECT_LT(stats.read_batches, static_cast<int64_t>(schedule.size()) / 2);
+  StreamStats stats;
+  ASSERT_TRUE(StreamSchedule(&disk, schedule, 16, CancellationToken(),
+                             [](ChunkId, const Chunk&) {}, &stats)
+                  .ok());
+  EXPECT_LT(stats.reads, static_cast<int64_t>(schedule.size()) / 2);
   EXPECT_GT(stats.coalesced_reads, 0);
   EXPECT_GT(disk.stats().coalesced_reads, 0);
 }
 
 TEST_F(ChunkPipelineTest, CoalescingOffIssuesOneBatchPerEntry) {
+  // Window 1 is the per-chunk loop: one read per entry, charged exactly
+  // like ReadChunk.
   std::vector<ChunkId> schedule(stored_.begin(), stored_.begin() + 16);
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-  ChunkPipelineOptions options;
-  options.lookahead = 8;
-  options.coalesce = false;
-  ChunkPipeline pipeline(&disk, schedule, options);
-  while (pipeline.Next().ok()) {
-  }
-  EXPECT_EQ(pipeline.stats().read_batches,
-            static_cast<int64_t>(schedule.size()));
-  EXPECT_EQ(pipeline.stats().coalesced_reads, 0);
-}
-
-TEST_F(ChunkPipelineTest, TinyPinBudgetStillTerminatesWithinBudget) {
-  const std::vector<ChunkId> schedule = InterleavedSchedule();
-  const std::vector<Chunk> expected = SyncStream(schedule);
-  for (int64_t budget : {int64_t{1}, int64_t{2}, int64_t{3}}) {
-    SimulatedDisk disk(TestModel(), 0);
-    ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-    ChunkPipelineOptions options;
-    options.lookahead = 16;
-    options.io_threads = 4;
-    options.pin_budget = budget;
-    ChunkPipeline pipeline(&disk, schedule, options);
-    EXPECT_EQ(pipeline.pin_budget(), budget);
-    for (size_t i = 0; i < schedule.size(); ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-      ExpectChunksBitIdentical(expected[i], pin->chunk(),
-                               "budget " + std::to_string(budget) + " entry " +
-                                   std::to_string(i));
-    }
-    EXPECT_FALSE(pipeline.Next().ok());
-    EXPECT_LE(pipeline.stats().peak_pinned, budget);
-  }
-}
-
-TEST_F(ChunkPipelineTest, ExhaustedBudgetReportsInsteadOfDeadlocking) {
-  const std::vector<ChunkId> schedule = InterleavedSchedule();
-  SimulatedDisk disk(TestModel(), 0);
-  ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-  ChunkPipelineOptions options;
-  options.lookahead = 8;
-  options.io_threads = 2;
-  options.pin_budget = 2;
-  ChunkPipeline pipeline(&disk, schedule, options);
-
-  // Hold every budget slot with live Pins: the third Next cannot issue the
-  // head and must surface the exhaustion rather than block forever.
-  Result<ChunkPipeline::Pin> first = pipeline.Next();
-  ASSERT_TRUE(first.ok());
-  Result<ChunkPipeline::Pin> second = pipeline.Next();
-  ASSERT_TRUE(second.ok());
-  Result<ChunkPipeline::Pin> third = pipeline.Next();
-  ASSERT_FALSE(third.ok());
-  EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
-
-  // Releasing a pin un-wedges the pipeline.
-  first->Release();
-  Result<ChunkPipeline::Pin> resumed = pipeline.Next();
-  EXPECT_TRUE(resumed.ok()) << resumed.status().ToString();
-  EXPECT_EQ(resumed->id(), schedule[2]);
-}
-
-TEST_F(ChunkPipelineTest, DestructorDrainsWithUndeliveredChunks) {
-  const std::vector<ChunkId> schedule = InterleavedSchedule();
-  SimulatedDisk disk(TestModel(), 0);
-  ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
-  ChunkPipelineOptions options;
-  options.lookahead = 16;
-  options.io_threads = 4;
-  ChunkPipeline pipeline(&disk, schedule, options);
-  // Consume three entries, then abandon the rest: the destructor must
-  // block until in-flight batches land and not leak.
-  for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(pipeline.Next().ok());
-  }
+  StreamStats stats;
+  ASSERT_TRUE(StreamSchedule(&disk, schedule, 1, CancellationToken(),
+                             [](ChunkId, const Chunk&) {}, &stats)
+                  .ok());
+  EXPECT_EQ(stats.reads, static_cast<int64_t>(schedule.size()));
+  EXPECT_EQ(stats.coalesced_reads, 0);
+  EXPECT_EQ(stats.peak_buffered, 1);
+  SimulatedDisk serial(TestModel(), 0);
+  for (ChunkId id : schedule) serial.ReadChunk(id);
+  EXPECT_DOUBLE_EQ(disk.stats().virtual_seconds,
+                   serial.stats().virtual_seconds);
 }
 
 TEST_F(ChunkPipelineTest, ChargeScheduleIsDeterministicAndCheaperThanSerial) {
   const std::vector<ChunkId> schedule = InterleavedSchedule();
-  ChunkPipelineOptions options;
-  options.lookahead = 16;
 
   SimulatedDisk first(TestModel(), 0);
   SimulatedDisk second(TestModel(), 0);
-  const double a = ChunkPipeline::ChargeSchedule(&first, schedule, options);
-  const double b = ChunkPipeline::ChargeSchedule(&second, schedule, options);
+  const double a = ChargeSchedule(&first, schedule, 16);
+  const double b = ChargeSchedule(&second, schedule, 16);
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_DOUBLE_EQ(first.stats().virtual_seconds,
                    second.stats().virtual_seconds);
@@ -368,11 +360,13 @@ TEST_F(ChunkPipelineTest, ChargeScheduleIsDeterministicAndCheaperThanSerial) {
             static_cast<int64_t>(schedule.size()));
 
   // The windowed coalescing must beat one seek per schedule entry on the
-  // alternating workload.
+  // alternating workload; window 1 is exactly that serial loop.
   SimulatedDisk serial(TestModel(), 0);
   double serial_cost = 0.0;
   for (ChunkId id : schedule) serial_cost += serial.ReadChunk(id);
   EXPECT_LT(a, serial_cost);
+  SimulatedDisk one(TestModel(), 0);
+  EXPECT_DOUBLE_EQ(ChargeSchedule(&one, schedule, 1), serial_cost);
 }
 
 // ---- out-of-core aggregation --------------------------------------------
@@ -390,6 +384,7 @@ TEST_F(ChunkPipelineTest, OutOfCoreRollupMatchesInMemoryBitwise) {
   ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
 
   ChunkAggregator::OutOfCoreOptions sync_options;
+  sync_options.window = 1;
   ChunkAggregator sync_agg(workload_.cube);
   Result<std::vector<GroupByResult>> sync_views =
       sync_agg.ComputeOutOfCore(masks, order, &disk, sync_options);
@@ -399,18 +394,16 @@ TEST_F(ChunkPipelineTest, OutOfCoreRollupMatchesInMemoryBitwise) {
     EXPECT_TRUE((*sync_views)[i] == expected[i]) << "mask " << i;
   }
 
-  for (int io_threads : {1, 2, 4, 8}) {
+  for (int window : {2, 8, 16, 64}) {
     ChunkAggregator::OutOfCoreOptions options;
-    options.pipelined = true;
-    options.pipeline.lookahead = 8;
-    options.pipeline.io_threads = io_threads;
+    options.window = window;
     ChunkAggregator agg(workload_.cube);
     Result<std::vector<GroupByResult>> views =
         agg.ComputeOutOfCore(masks, order, &disk, options);
     ASSERT_TRUE(views.ok()) << views.status().ToString();
     for (size_t i = 0; i < masks.size(); ++i) {
       EXPECT_TRUE((*views)[i] == (*sync_views)[i])
-          << "mask " << i << " io_threads " << io_threads;
+          << "mask " << i << " window " << window;
     }
     EXPECT_EQ(agg.stats().chunks_read, sync_agg.stats().chunks_read);
     EXPECT_EQ(agg.stats().cells_scanned, sync_agg.stats().cells_scanned);
@@ -464,7 +457,6 @@ TEST(PipelinedQueryTest, PipelinedIoPreservesQueryResults) {
     QueryOptions piped_options;
     piped_options.disk = &piped_disk;
     piped_options.pipelined_io = true;
-    piped_options.pipeline_lookahead = 8;
     piped_options.eval_threads = 4;
     Result<QueryResult> piped_result = exec.Execute(q, piped_options);
 
@@ -482,6 +474,66 @@ TEST(PipelinedQueryTest, PipelinedIoPreservesQueryResults) {
         EXPECT_EQ(sync_result->grid.at(r, c), piped_result->grid.at(r, c))
             << q << " cell " << r << "," << c;
       }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// The reader plans its runs from the schedule alone and charges on the
+// query thread, so an out-of-core query's modeled I/O — not just its grid —
+// is the same at every evaluation thread count.
+TEST(PipelinedQueryTest, ModeledIoIsIdenticalAtEveryThreadCount) {
+  ProductCubeConfig config;
+  config.separation_chunks = 40;
+  config.chunk_products = 1;
+  config.fill_data = true;
+  ProductCube workload = BuildProductCube(config);
+  const std::string path = TempPath("pipelined_threads.olap");
+  ASSERT_TRUE(SaveCube(workload.cube, path).ok());
+
+  Database db;
+  ASSERT_TRUE(db.AddCube("Products", workload.cube).ok());
+  Executor exec(&db);
+  const std::string queries[] = {
+      "SELECT {[Product].Children} ON ROWS, "
+      "{[Time].Children} ON COLUMNS FROM Products",
+      "WITH PERSPECTIVE {(Jan), (Jul)} FOR Product DYNAMIC FORWARD "
+      "SELECT {[Time].Children} ON COLUMNS, "
+      "{[Product].Children} ON ROWS FROM Products "
+      "WHERE (Measures.[Sales])",
+  };
+  for (const std::string& q : queries) {
+    std::optional<QueryResult> first;
+    IoStats first_io;
+    for (int threads : {1, 2, 4, 8}) {
+      SimulatedDisk disk(TestModel(), 0);
+      ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
+      QueryOptions options;
+      options.disk = &disk;
+      options.pipelined_io = true;
+      options.eval_threads = threads;
+      Result<QueryResult> r = exec.Execute(q, options);
+      ASSERT_TRUE(r.ok()) << q << ": " << r.status().ToString();
+      const IoStats io = disk.stats();
+      EXPECT_GT(io.physical_reads, 0) << q;
+      if (!first.has_value()) {
+        first = *std::move(r);
+        first_io = io;
+        continue;
+      }
+      ASSERT_EQ(first->grid.num_rows(), r->grid.num_rows());
+      ASSERT_EQ(first->grid.num_columns(), r->grid.num_columns());
+      for (int row = 0; row < r->grid.num_rows(); ++row) {
+        for (int col = 0; col < r->grid.num_columns(); ++col) {
+          EXPECT_EQ(BitsOf(first->grid.at(row, col)),
+                    BitsOf(r->grid.at(row, col)))
+              << q << " threads " << threads << " cell " << row << "," << col;
+        }
+      }
+      EXPECT_EQ(io.physical_reads, first_io.physical_reads) << threads;
+      EXPECT_EQ(io.total_seek_chunks, first_io.total_seek_chunks) << threads;
+      EXPECT_EQ(io.coalesced_reads, first_io.coalesced_reads) << threads;
+      EXPECT_EQ(io.virtual_seconds, first_io.virtual_seconds) << threads;
     }
   }
   std::remove(path.c_str());

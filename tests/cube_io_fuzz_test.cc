@@ -13,6 +13,7 @@
 
 #include "storage/cube_io.h"
 #include "storage/env.h"
+#include "v1_cube_file.h"
 
 namespace olap {
 namespace {
@@ -81,13 +82,12 @@ std::string SaveToBytes(const Cube& cube, bool compress, int format_version) {
   std::string path = TempPath("fuzz_source.olap");
   SaveOptions options;
   options.compress = compress;
-  options.format_version = format_version;
   EXPECT_TRUE(SaveCube(cube, path, options).ok());
   std::string bytes;
   EXPECT_TRUE(Env::Default()->ReadFileToString(path, &bytes).ok());
   EXPECT_GT(bytes.size(), 32u);
   std::remove(path.c_str());
-  return bytes;
+  return format_version == 1 ? testing_v1::V1BytesFromV2(bytes) : bytes;
 }
 
 // Flips every byte offset (two masks) and loads strictly and in recovery

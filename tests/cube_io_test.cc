@@ -7,6 +7,7 @@
 
 #include "agg/rollup.h"
 #include "common/rng.h"
+#include "v1_cube_file.h"
 #include "workload/paper_example.h"
 #include "workload/workforce.h"
 
@@ -184,10 +185,7 @@ TEST(CubeIoTest, LegacyV1FilesStillLoad) {
   PaperExample ex = BuildPaperExample();
   for (bool compress : {false, true}) {
     std::string path = TempPath(compress ? "v1_c.olap" : "v1.olap");
-    SaveOptions options;
-    options.compress = compress;
-    options.format_version = 1;
-    ASSERT_TRUE(SaveCube(ex.cube, path, options).ok());
+    ASSERT_TRUE(testing_v1::SaveCubeV1(ex.cube, path, compress).ok());
     // The file really is v1.
     std::string head;
     {

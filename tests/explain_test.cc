@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "engine/executor.h"
+#include "storage/cube_io.h"
+#include "storage/env.h"
+#include "storage/simulated_disk.h"
 #include "workload/paper_example.h"
 
 namespace olap {
@@ -138,6 +144,57 @@ TEST_F(ExplainTest, ExplainAnalyzeRendersComparisonAndComposeSpan) {
   // The profiled span tree includes the scenario algebra's spans.
   EXPECT_NE(r->find("scenario.compare"), std::string::npos);
   EXPECT_NE(r->find("scenario.compose"), std::string::npos);
+}
+
+// The "I/O:" line comes from the same decision Execute runs: for a
+// pipelined_io query on a disk backed by the cube's file, EXPLAIN says
+// "streamed" exactly when EXPLAIN ANALYZE shows the out-of-core rollup.
+TEST_F(ExplainTest, IoLineMatchesTheOutOfCoreRollupSpan) {
+  const std::string path = ::testing::TempDir() + "/explain_io.olap";
+  ASSERT_TRUE(SaveCube(ex_.cube, path).ok());
+  SimulatedDisk disk(DiskModel{}, 0);
+  ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
+
+  const std::string grid =
+      "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+      "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+      "WHERE (Measures.[Salary])";
+  const std::string perspective =
+      "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD ";
+  const std::string queries[] = {
+      grid,                                         // Stored cube.
+      perspective + grid,                           // Non-visual: stored.
+      perspective + "VISUAL " + grid,               // Transformed cube.
+      "COMPARE " + perspective + grid + " VERSUS " + grid,  // Shared views.
+      "COMPARE " + perspective + "VISUAL " + grid + " VERSUS " + grid,
+  };
+  int streamed = 0, resident = 0;
+  for (bool pipelined : {true, false}) {
+    for (bool batched : {true, false}) {
+      for (const std::string& q : queries) {
+        QueryOptions options;
+        options.disk = &disk;
+        options.pipelined_io = pipelined;
+        options.batched_eval = batched;
+        const std::string plan = MustExplain(q, options);
+        Result<std::string> analyzed = exec_->ExplainAnalyze(q, options);
+        ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+        const bool says_streamed = plan.find("streamed") != std::string::npos;
+        const bool ran_streamed =
+            analyzed->find("agg.rollup_outofcore") != std::string::npos;
+        EXPECT_EQ(says_streamed, ran_streamed) << q << "\n" << *analyzed;
+        EXPECT_NE(plan.find(pipelined ? "I/O: read window 16"
+                                      : "I/O: read window 1,"),
+                  std::string::npos)
+            << plan;
+        ++(says_streamed ? streamed : resident);
+      }
+    }
+  }
+  // Both outcomes were exercised.
+  EXPECT_EQ(streamed, 3);
+  EXPECT_EQ(resident, 17);
+  std::remove(path.c_str());
 }
 
 TEST_F(ExplainTest, ErrorsPropagate) {

@@ -350,39 +350,6 @@ class OutOfCoreLadderTest : public ::testing::Test {
   std::vector<GroupByResult> oracle_;
 };
 
-TEST_F(OutOfCoreLadderTest, ResourceExhaustedRetriesWithHalvedLookahead) {
-  FaultInjectingEnv env(Env::Default());
-  SimulatedDisk disk(TestModel(), 0);
-  ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
-  // Inject after attach so the fault hits the pipeline's fetch, not the
-  // backing-file indexing pass.
-  env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kResourceExhausted,
-                  /*times=*/1);
-
-  ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 16;
-  options.pipeline.io_threads = 1;  // FaultInjectingEnv is not thread-safe.
-  std::vector<std::string> degradations;
-  options.on_degrade = [&](const char* step) { degradations.push_back(step); };
-
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
-  ChunkAggregator agg(workload_.cube);
-  Result<std::vector<GroupByResult>> views =
-      agg.ComputeOutOfCore(masks_, order_, &disk, options);
-  ASSERT_TRUE(views.ok()) << views.status().ToString();
-  const MetricsRegistry::Snapshot delta =
-      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
-
-  for (size_t i = 0; i < masks_.size(); ++i) {
-    EXPECT_TRUE((*views)[i] == oracle_[i]) << "mask " << i;
-  }
-  ASSERT_FALSE(degradations.empty());
-  EXPECT_EQ(degradations[0], "lookahead_halved");
-  EXPECT_GE(delta.counter_value("agg.outofcore.lookahead_retries"), 1);
-}
-
 TEST_F(OutOfCoreLadderTest, LookaheadExhaustionFallsBackToSyncIo) {
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(TestModel(), 0);
@@ -390,10 +357,9 @@ TEST_F(OutOfCoreLadderTest, LookaheadExhaustionFallsBackToSyncIo) {
   env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kResourceExhausted,
                   /*times=*/1);
 
+  // A coalesced read (window 16) reports kResourceExhausted once: the
+  // stream restarts as the per-chunk loop and succeeds.
   ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 1;  // Bottom rung: straight to sync I/O.
-  options.pipeline.io_threads = 1;
   std::vector<std::string> degradations;
   options.on_degrade = [&](const char* step) { degradations.push_back(step); };
 
@@ -422,9 +388,7 @@ TEST_F(OutOfCoreLadderTest, PersistentExhaustionSurfacesTheError) {
                   FaultInjectingEnv::kForever);
 
   ChunkAggregator::OutOfCoreOptions options;
-  options.pipelined = true;
-  options.pipeline.lookahead = 4;
-  options.pipeline.io_threads = 1;
+  options.window = 4;
   ChunkAggregator agg(workload_.cube);
   Result<std::vector<GroupByResult>> views =
       agg.ComputeOutOfCore(masks_, order_, &disk, options);
@@ -433,13 +397,12 @@ TEST_F(OutOfCoreLadderTest, PersistentExhaustionSurfacesTheError) {
   EXPECT_EQ(views.status().code(), StatusCode::kResourceExhausted);
 }
 
-// ---- mid-prefetch cancellation -------------------------------------------
+// ---- mid-stream cancellation ---------------------------------------------
 
-TEST_F(OutOfCoreLadderTest, MidPrefetchCancelReleasesEveryPin) {
-  // Reads flow through a FaultInjectingEnv (the acceptance scenario:
-  // cancellation mid-prefetch with the fault harness in the I/O path). One
-  // transient fault is pending but the cancel must win the race — whichever
-  // the pipeline observes first, the cancelled call's contract holds.
+TEST_F(OutOfCoreLadderTest, MidStreamCancelStopsAndLeavesTheDiskReusable) {
+  // Reads flow through a FaultInjectingEnv (cancellation with the fault
+  // harness in the I/O path). One transient fault is pending but the
+  // cancel must win — the reader polls the token before every read.
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(TestModel(), 0);
   ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
@@ -448,47 +411,104 @@ TEST_F(OutOfCoreLadderTest, MidPrefetchCancelReleasesEveryPin) {
       [&](ChunkId id, const Chunk&) { schedule.push_back(id); });
   ASSERT_GT(schedule.size(), 4u);
 
-  MetricsRegistry& reg = MetricsRegistry::Global();
-  Gauge* pinned = reg.gauge("pipeline.pinned_chunks");
-  const int64_t pinned_before = pinned->value();
-
   CancellationSource source;
-  ChunkPipelineOptions options;
-  options.lookahead = 8;
-  options.io_threads = 1;  // FaultInjectingEnv is not thread-safe.
-  options.cancel = source.token();
-  {
-    ChunkPipeline pipeline(&disk, schedule, options);
-    for (int i = 0; i < 2; ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-    }
-    source.RequestCancel();
-    const auto start = std::chrono::steady_clock::now();
-    Result<ChunkPipeline::Pin> pin = pipeline.Next();
-    const auto elapsed = std::chrono::steady_clock::now() - start;
-    EXPECT_EQ(pin.status().code(), StatusCode::kCancelled);
-    // Acceptance bound: the cancelled call returns within 100ms.
-    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
-                  .count(),
-              100);
-    // The closed pipeline keeps refusing work.
-    EXPECT_FALSE(pipeline.Next().ok());
-  }
-  // Destructor drained in-flight fetches and returned every pin.
-  EXPECT_EQ(pinned->value(), pinned_before);
+  size_t delivered = 0;
+  const Status stopped = StreamSchedule(
+      &disk, schedule, /*window=*/1, source.token(),
+      [&](ChunkId, const Chunk&) {
+        if (++delivered == 2) source.RequestCancel();
+      });
+  EXPECT_EQ(stopped.code(), StatusCode::kCancelled) << stopped.ToString();
+  EXPECT_EQ(delivered, 2u);  // Nothing read after the stop request.
 
-  // The disk is immediately reusable for an uncancelled pipeline.
-  ChunkPipelineOptions clean;
-  clean.lookahead = 8;
-  clean.io_threads = 1;
-  ChunkPipeline pipeline(&disk, schedule, clean);
-  for (size_t i = 0; i < schedule.size(); ++i) {
-    Result<ChunkPipeline::Pin> pin = pipeline.Next();
-    ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-    EXPECT_EQ(pin->id(), schedule[i]);
+  // The disk is immediately reusable for an uncancelled stream.
+  size_t i = 0;
+  const Status clean = StreamSchedule(
+      &disk, schedule, /*window=*/8, CancellationToken(),
+      [&](ChunkId id, const Chunk&) {
+        ASSERT_LT(i, schedule.size());
+        EXPECT_EQ(id, schedule[i]);
+        ++i;
+      });
+  ASSERT_TRUE(clean.ok()) << clean.ToString();
+  EXPECT_EQ(i, schedule.size());
+}
+
+// ---- the sync_io rung under memory pressure ------------------------------
+
+// A paper-example database whose cube is also the disk's backing file, so
+// pipelined_io streams scratch views and coalesces what-if read passes.
+class GovernedIoTest : public GovernedQueryTest {
+ protected:
+  void SetUp() override {
+    GovernedQueryTest::SetUp();
+    path_ = TempPath("governor_io_cube.olap");
+    ASSERT_TRUE(SaveCube(ex_.cube, path_).ok());
   }
-  EXPECT_EQ(pinned->value(), pinned_before);
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  // Runs `mdx` against a fresh backed disk; returns the result and the
+  // disk's modeled I/O.
+  QueryResult Run(const std::string& mdx, QueryOptions options,
+                  IoStats* io) {
+    SimulatedDisk disk(TestModel(), 0);
+    EXPECT_TRUE(disk.AttachBackingFile(Env::Default(), path_).ok());
+    options.disk = &disk;
+    QueryResult r = MustExecute(mdx, options);
+    *io = disk.stats();
+    return r;
+  }
+
+  std::string path_;
+};
+
+const char kCompareQuery[] =
+    "COMPARE "
+    "WITH PERSPECTIVE {(Feb), (Apr)} FOR Organization DYNAMIC FORWARD "
+    "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+    "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+    "WHERE (Measures.[Salary]) "
+    "VERSUS "
+    "SELECT {Time.[Qtr1], Time.[Qtr2]} ON COLUMNS, "
+    "{[FTE], [PTE], [Contractor]} ON ROWS FROM Warehouse "
+    "WHERE (Measures.[Salary])";
+
+// A budget too small for the reader's window buffer takes the sync_io rung
+// — for a plain query and, through the same I/O decision, for COMPARE —
+// and the degraded run reads exactly like pipelined_io off (window 1, no
+// streaming) with bit-identical results.
+TEST_F(GovernedIoTest, MemoryPressureTakesSyncIoForQueriesAndCompare) {
+  for (const char* mdx : {kBudgetQuery, kCompareQuery}) {
+    SCOPED_TRACE(mdx);
+    IoStats sync_io;
+    const QueryResult sync = Run(mdx, QueryOptions(), &sync_io);
+
+    QueryOptions piped;
+    piped.pipelined_io = true;
+    IoStats piped_io;
+    const QueryResult undegraded = Run(mdx, piped, &piped_io);
+    ExpectGridsBitIdentical(sync.grid, undegraded.grid);
+    EXPECT_TRUE(undegraded.governor_steps.empty());
+
+    QueryOptions governed = piped;
+    governed.governor.memory_budget_cells = 1;
+    MetricsRegistry& reg = MetricsRegistry::Global();
+    const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+    IoStats degraded_io;
+    const QueryResult degraded = Run(mdx, governed, &degraded_io);
+    const MetricsRegistry::Snapshot delta =
+        MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+
+    ExpectGridsBitIdentical(sync.grid, degraded.grid);
+    ASSERT_FALSE(degraded.governor_steps.empty());
+    EXPECT_EQ(degraded.governor_steps[0], "sync_io");
+    EXPECT_GE(delta.counter_value("governor.degrade.sync_io"), 1);
+    EXPECT_EQ(delta.counter_value("agg.rollups"), 0);  // Nothing streamed.
+    EXPECT_EQ(degraded_io.physical_reads, sync_io.physical_reads);
+    EXPECT_EQ(degraded_io.total_seek_chunks, sync_io.total_seek_chunks);
+    EXPECT_DOUBLE_EQ(degraded_io.virtual_seconds, sync_io.virtual_seconds);
+    EXPECT_EQ(reg.gauge("governor.mem.reserved_cells")->value(), 0);
+  }
 }
 
 }  // namespace

@@ -337,10 +337,10 @@ TEST(KernelEquivalenceTest, PerspectiveCubeIsThreadCountInvariant) {
   }
 }
 
-// Out-of-core streaming: the async ChunkPipeline must deliver fuzz cubes'
+// Out-of-core streaming: the windowed reader must deliver fuzz cubes'
 // chunks bit-identically to a synchronous FetchChunk loop over the same
-// schedule, at every io_threads setting, whatever the (random) tiling and
-// sparsity of the stored chunk set.
+// schedule, at every window, whatever the (random) tiling and sparsity of
+// the stored chunk set.
 TEST(KernelEquivalenceTest, PipelineStreamsFuzzCubesBitIdentically) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     FuzzWorld world = BuildFuzzWorld(seed + 5000);
@@ -388,30 +388,29 @@ TEST(KernelEquivalenceTest, PipelineStreamsFuzzCubesBitIdentically) {
       }
     }
 
-    for (int threads : kThreadCounts) {
+    for (int window : {1, 2, 8, 16, 64}) {
       SimulatedDisk disk(model, /*cache_capacity_chunks=*/0);
       ASSERT_TRUE(disk.AttachBackingFile(Env::Default(), path).ok());
-      ChunkPipelineOptions options;
-      options.lookahead = 8;
-      options.io_threads = threads;
-      ChunkPipeline pipeline(&disk, schedule, options);
-      for (size_t i = 0; i < schedule.size(); ++i) {
-        Result<ChunkPipeline::Pin> pin = pipeline.Next();
-        ASSERT_TRUE(pin.ok()) << pin.status().ToString();
-        ASSERT_EQ(pin->id(), schedule[i])
-            << "seed " << seed << " threads " << threads << " entry " << i;
-        const Chunk& got = pin->chunk();
-        ASSERT_EQ(expected[i].size(), got.size());
-        for (int64_t off = 0; off < got.size(); ++off) {
-          ASSERT_EQ(BitsOf(expected[i].Get(off)), BitsOf(got.Get(off)))
-              << "seed " << seed << " threads " << threads << " entry " << i
-              << " offset " << off;
-        }
-      }
-      EXPECT_TRUE(pipeline.Done());
-      EXPECT_EQ(pipeline.Next().status().code(), StatusCode::kOutOfRange);
-      EXPECT_EQ(pipeline.stats().chunks_delivered,
-                static_cast<int64_t>(schedule.size()));
+      size_t i = 0;
+      StreamStats stats;
+      Status status = StreamSchedule(
+          &disk, schedule, window, CancellationToken(),
+          [&](ChunkId id, const Chunk& got) {
+            ASSERT_LT(i, schedule.size());
+            ASSERT_EQ(id, schedule[i])
+                << "seed " << seed << " window " << window << " entry " << i;
+            ASSERT_EQ(expected[i].size(), got.size());
+            for (int64_t off = 0; off < got.size(); ++off) {
+              ASSERT_EQ(BitsOf(expected[i].Get(off)), BitsOf(got.Get(off)))
+                  << "seed " << seed << " window " << window << " entry "
+                  << i << " offset " << off;
+            }
+            ++i;
+          },
+          &stats);
+      ASSERT_TRUE(status.ok()) << status.ToString();
+      EXPECT_EQ(i, schedule.size());
+      EXPECT_LE(stats.peak_buffered, window);
     }
     std::remove(path.c_str());
   }

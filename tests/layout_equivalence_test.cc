@@ -21,6 +21,7 @@
 #include "common/rng.h"
 #include "cube/cube.h"
 #include "storage/cube_io.h"
+#include "v1_cube_file.h"
 
 namespace olap {
 namespace {
@@ -250,11 +251,14 @@ TEST(LayoutEquivalenceTest, StorageRoundTripsBitmapLayout) {
         if (version == 1 && compress) continue;  // v1 is raw-only coverage.
         const std::string path = ::testing::TempDir() + "/layout_rt_" +
                                  std::to_string(variant++) + ".olapcube";
-        SaveOptions save;
-        save.compress = compress;
-        save.format_version = version;
-        save.sync = false;
-        ASSERT_TRUE(SaveCube(cube, path, save).ok());
+        if (version == 1) {
+          ASSERT_TRUE(testing_v1::SaveCubeV1(cube, path, compress).ok());
+        } else {
+          SaveOptions save;
+          save.compress = compress;
+          save.sync = false;
+          ASSERT_TRUE(SaveCube(cube, path, save).ok());
+        }
         Result<Cube> loaded = LoadCube(path);
         ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
         ExpectCubesBitIdentical(cube, *loaded,

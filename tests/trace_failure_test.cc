@@ -127,14 +127,14 @@ TEST_F(TraceFailureTest, FailedQueryClosesTheWholeTree) {
 
 TEST_F(TraceFailureTest, FaultMidPrefetchClosesFetchBatchSpansWithError) {
   PaperExample ex = BuildPaperExample();
-  const std::string path = TempPath("trace_failure_prefetch.olap");
+  const std::string path = TempPath("trace_failure_stream.olap");
   ASSERT_TRUE(SaveCube(ex.cube, path).ok());
 
   FaultInjectingEnv env(Env::Default());
   SimulatedDisk disk(DiskModel{}, 0);
   // Attach through the healthy env (indexing must succeed), then make every
-  // subsequent data read fail: the fault lands mid-prefetch, on a pool
-  // worker inside a pipeline.fetch_batch span.
+  // subsequent data read fail: the fault lands on the reader's first
+  // ranged read, inside its pipeline.fetch_batch span.
   ASSERT_TRUE(disk.AttachBackingFile(&env, path).ok());
   env.InjectError(FaultOp::kRead, /*skip=*/0, StatusCode::kUnavailable,
                   FaultInjectingEnv::kForever);
@@ -143,24 +143,12 @@ TEST_F(TraceFailureTest, FaultMidPrefetchClosesFetchBatchSpansWithError) {
   ex.cube.ForEachChunk([&](ChunkId id, const Chunk&) { schedule.push_back(id); });
   ASSERT_FALSE(schedule.empty());
 
-  ChunkPipelineOptions options;
-  options.lookahead = 4;
-  // FaultInjectingEnv's fault table is not thread-safe; one batch in flight
-  // keeps all env access sequential.
-  options.io_threads = 1;
-
   ASSERT_TRUE(TraceCollector::Enable());
-  Status failure = Status::Ok();
-  {
-    ChunkPipeline pipeline(&disk, schedule, options);
-    for (size_t i = 0; i < schedule.size(); ++i) {
-      Result<ChunkPipeline::Pin> pin = pipeline.Next();
-      if (!pin.ok()) {
-        failure = pin.status();
-        break;
-      }
-    }
-  }  // Destructor drains outstanding batches before the trace is read.
+  int delivered = 0;
+  const Status failure =
+      StreamSchedule(&disk, schedule, /*window=*/4, CancellationToken(),
+                     [&](ChunkId, const Chunk&) { ++delivered; });
+  EXPECT_EQ(delivered, 0);
   EXPECT_EQ(failure.code(), StatusCode::kUnavailable) << failure.ToString();
   ExpectClosedErrorTree(TraceCollector::DisableAndDrain(),
                         "pipeline.fetch_batch", "");
