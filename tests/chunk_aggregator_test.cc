@@ -87,6 +87,21 @@ struct AggCase {
   std::vector<int> order;
 };
 
+// Without this gtest prints the raw bytes of the case, vector heap pointers
+// included, so the discovered ctest names would differ on every run.
+void PrintTo(const AggCase& c, std::ostream* os) {
+  auto join = [](const std::vector<int>& v) {
+    std::string s;
+    for (size_t i = 0; i < v.size(); ++i) {
+      s += (i ? "x" : "") + std::to_string(v[i]);
+    }
+    return s;
+  };
+  *os << "seed" << c.seed << "_extents" << join(c.extents) << "_chunk"
+      << c.chunk_size << "_density" << c.density << "_order"
+      << join(c.order);
+}
+
 class ChunkAggEquivalence : public ::testing::TestWithParam<AggCase> {};
 
 TEST_P(ChunkAggEquivalence, MatchesNaive) {
