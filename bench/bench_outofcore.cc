@@ -15,11 +15,14 @@
 //   --smoke  smaller cube / fewer sweep points (CI).
 //   --check  exit non-zero unless: every window delivers a stream
 //            bit-identical to the per-chunk FetchChunk oracle, the peak
-//            number of buffered chunks never exceeds the window, the
-//            out-of-core rollup is equal at windows 1 and 16 and to the
-//            in-memory pass, the headline window (16) beats the per-chunk
-//            loop by >= 1.5x in total (wall + modeled) time, and the
-//            headline's wall time stays within 1.1x of the per-chunk
+//            number of buffered chunks never exceeds the window, each
+//            out-of-core rollup block (the product cube's, and a
+//            partial-plan and a slab-plan mask set on a workforce cube)
+//            is bitwise equal at windows 1 and 16, to the in-memory pass,
+//            and between 1 thread and the affinity-visible core count
+//            (modeled I/O equal too), the headline window (16) beats the
+//            per-chunk loop by >= 1.5x in total (wall + modeled) time, and
+//            the headline's wall time stays within 1.1x of the per-chunk
 //            loop's on the page-cached file.
 
 #include <algorithm>
@@ -43,6 +46,7 @@
 #include "storage/env.h"
 #include "storage/simulated_disk.h"
 #include "workload/product.h"
+#include "workload/workforce.h"
 
 namespace olap {
 namespace {
@@ -165,25 +169,55 @@ ReaderResult RunReader(SimulatedDisk* disk, const std::vector<ChunkId>& schedule
 
 // ---- rollup workload: ChunkAggregator::ComputeOutOfCore ------------------
 
+// Bitwise equality of two view sets (operator== compares values, which
+// would let -0.0 == 0.0 through).
+bool BitwiseEqual(const std::vector<GroupByResult>& a,
+                  const std::vector<GroupByResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t m = 0; m < a.size(); ++m) {
+    if (a[m].mask() != b[m].mask() || a[m].num_cells() != b[m].num_cells() ||
+        std::memcmp(a[m].raw_cells(), b[m].raw_cells(),
+                    sizeof(double) * static_cast<size_t>(a[m].num_cells())) !=
+            0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 struct RollupResult {
+  std::string name;
+  std::string plan;  // "partial" or "slab<dim>" (DESIGN.md §7).
+  int64_t units = 0;
+  int threads = 1;   // The parallel runs' thread count (affinity cores).
+  // Serial (1 thread) runs at window 1 (sync) and window 16 (reader).
   double sync_wall_ms = 0.0, sync_modeled_ms = 0.0;
   double reader_wall_ms = 0.0, reader_modeled_ms = 0.0;
+  // The same two windows at `threads`.
+  double parallel_sync_wall_ms = 0.0, parallel_reader_wall_ms = 0.0;
   bool ok = true;
-  bool bit_identical = false;   // Window 16 == window 1 streaming.
-  bool matches_memory = false;  // Window 1 streaming == in-memory pass.
+  bool bit_identical = false;      // Window 16 == window 1 streaming.
+  bool matches_memory = false;     // Window 1 streaming == in-memory pass.
+  bool threads_identical = false;  // Every `threads` run == its serial run.
+  bool modeled_identical = false;  // Modeled I/O equal at both thread counts.
   double sync_total_ms() const { return sync_wall_ms + sync_modeled_ms; }
   double reader_total_ms() const { return reader_wall_ms + reader_modeled_ms; }
 };
 
-RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int reps) {
+RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk,
+                       const std::string& name,
+                       const std::vector<GroupByMask>& masks, int threads,
+                       int reps) {
   RollupResult r;
-  std::vector<GroupByMask> masks = {0b001, 0b010, 0b011, 0b110};
+  r.name = name;
+  r.threads = threads;
   std::vector<int> order(cube.num_dims());
   std::iota(order.begin(), order.end(), 0);
 
-  // Streams the rollup at `window`; keeps the min wall over reps and the
-  // modeled time of the last (identical) rep.
-  auto stream = [&](int window, double* wall_ms, double* modeled_ms) {
+  // Streams the rollup at `window` on `run_threads`; keeps the min wall
+  // over reps and the modeled time of the last (identical) rep.
+  auto stream = [&](int window, int run_threads, double* wall_ms,
+                    double* modeled_ms) {
     ChunkAggregator::OutOfCoreOptions options;
     options.window = window;
     Result<std::vector<GroupByResult>> views = Status::Internal("no rep ran");
@@ -191,30 +225,67 @@ RollupResult RunRollup(const Cube& cube, SimulatedDisk* disk, int reps) {
       disk->Reset();
       ChunkAggregator agg(cube);
       const Clock::time_point t0 = Clock::now();
-      views = agg.ComputeOutOfCore(masks, order, disk, options);
+      views = agg.ComputeOutOfCore(masks, order, disk, options, run_threads);
       const double wall = MsSince(t0);
       *wall_ms = rep == 0 ? wall : std::min(*wall_ms, wall);
       *modeled_ms = disk->stats().virtual_seconds * 1e3;
+      r.plan = agg.stats().slab_dim >= 0
+                   ? "slab" + std::to_string(agg.stats().slab_dim)
+                   : "partial";
+      r.units = agg.stats().work_units;
     }
     return views;
   };
+  double parallel_sync_modeled_ms = 0.0, parallel_reader_modeled_ms = 0.0;
   Result<std::vector<GroupByResult>> sync_views =
-      stream(1, &r.sync_wall_ms, &r.sync_modeled_ms);
+      stream(1, 1, &r.sync_wall_ms, &r.sync_modeled_ms);
   Result<std::vector<GroupByResult>> reader_views =
-      stream(kReadWindow, &r.reader_wall_ms, &r.reader_modeled_ms);
-  if (!sync_views.ok() || !reader_views.ok()) {
-    fprintf(stderr, "rollup failed: %s\n",
-            (!sync_views.ok() ? sync_views.status() : reader_views.status())
-                .ToString()
-                .c_str());
-    r.ok = false;
-    return r;
+      stream(kReadWindow, 1, &r.reader_wall_ms, &r.reader_modeled_ms);
+  Result<std::vector<GroupByResult>> parallel_sync_views = stream(
+      1, threads, &r.parallel_sync_wall_ms, &parallel_sync_modeled_ms);
+  Result<std::vector<GroupByResult>> parallel_reader_views =
+      stream(kReadWindow, threads, &r.parallel_reader_wall_ms,
+             &parallel_reader_modeled_ms);
+  for (const auto* views : {&sync_views, &reader_views, &parallel_sync_views,
+                            &parallel_reader_views}) {
+    if (!views->ok()) {
+      fprintf(stderr, "rollup %s failed: %s\n", name.c_str(),
+              views->status().ToString().c_str());
+      r.ok = false;
+      return r;
+    }
   }
   ChunkAggregator memory_agg(cube);
   std::vector<GroupByResult> memory_views = memory_agg.Compute(masks, order);
-  r.bit_identical = *sync_views == *reader_views;
-  r.matches_memory = *sync_views == memory_views;
+  r.bit_identical = BitwiseEqual(*sync_views, *reader_views);
+  r.matches_memory = BitwiseEqual(*sync_views, memory_views);
+  r.threads_identical = BitwiseEqual(*sync_views, *parallel_sync_views) &&
+                        BitwiseEqual(*reader_views, *parallel_reader_views);
+  r.modeled_identical = r.sync_modeled_ms == parallel_sync_modeled_ms &&
+                        r.reader_modeled_ms == parallel_reader_modeled_ms;
   return r;
+}
+
+void PrintRollup(FILE* f, const RollupResult& r, bool last) {
+  fprintf(f,
+          "  \"%s\": {\"plan\": \"%s\", \"units\": %lld, "
+          "\"threads\": %d,\n"
+          "    \"sync_wall_ms\": %.3f, \"sync_modeled_ms\": %.3f, "
+          "\"sync_total_ms\": %.3f,\n"
+          "    \"reader_wall_ms\": %.3f, \"reader_modeled_ms\": %.3f, "
+          "\"reader_total_ms\": %.3f,\n"
+          "    \"parallel_sync_wall_ms\": %.3f, "
+          "\"parallel_reader_wall_ms\": %.3f,\n"
+          "    \"bit_identical\": %s, \"matches_memory\": %s, "
+          "\"threads_identical\": %s, \"modeled_identical\": %s}%s\n",
+          r.name.c_str(), r.plan.c_str(), static_cast<long long>(r.units),
+          r.threads, r.sync_wall_ms, r.sync_modeled_ms, r.sync_total_ms(),
+          r.reader_wall_ms, r.reader_modeled_ms, r.reader_total_ms(),
+          r.parallel_sync_wall_ms, r.parallel_reader_wall_ms,
+          r.bit_identical ? "true" : "false",
+          r.matches_memory ? "true" : "false",
+          r.threads_identical ? "true" : "false",
+          r.modeled_identical ? "true" : "false", last ? "" : ",");
 }
 
 // ---- driver --------------------------------------------------------------
@@ -299,7 +370,38 @@ int Main(int argc, char** argv) {
     if (r.window == kReadWindow && r.cache_chunks == 0) headline = &r;
   }
 
-  const RollupResult rollup = RunRollup(cube, &disk, reps);
+  // The rollups, serial and at the affinity-visible core count. On the
+  // product cube (too little work to fan out: one serial unit), then on a
+  // workforce cube — the outofcore_scan shape — with a mask set that has
+  // no common kept dimension (the partial plan) and one whose masks all
+  // keep Department and Period (the slab plan; the full-rank mask is the
+  // what-if scratch view).
+  const int threads = ThreadPool::AffinityVisibleCores();
+  std::vector<RollupResult> rollups = {RunRollup(
+      cube, &disk, "rollup_outofcore", {0b001, 0b010, 0b011, 0b110}, threads,
+      reps)};
+  WorkforceConfig wf_config;
+  if (smoke) wf_config.num_employees = 500;
+  const WorkforceCube wf = BuildWorkforceCube(wf_config);
+  const std::string wf_path = path + ".workforce";
+  SimulatedDisk wf_disk(model, /*cache_capacity_chunks=*/0);
+  Status wf_saved = SaveCube(wf.cube, wf_path);
+  if (wf_saved.ok()) wf_saved = wf_disk.AttachBackingFile(Env::Default(), wf_path);
+  if (!wf_saved.ok()) {
+    fprintf(stderr, "workforce backing file: %s\n", wf_saved.ToString().c_str());
+    return 1;
+  }
+  const GroupByMask dept = GroupByMask{1} << wf.dept_dim;
+  const GroupByMask period = GroupByMask{1} << wf.period_dim;
+  const GroupByMask account = GroupByMask{1} << wf.account_dim;
+  const GroupByMask scenario = GroupByMask{1} << wf.scenario_dim;
+  const GroupByMask full = (GroupByMask{1} << wf.cube.num_dims()) - 1;
+  rollups.push_back(RunRollup(wf.cube, &wf_disk, "rollup_workforce_partial",
+                              {dept, period, account, scenario}, threads,
+                              reps));
+  rollups.push_back(RunRollup(wf.cube, &wf_disk, "rollup_workforce_slab",
+                              {dept | period, full}, threads, reps));
+  std::remove(wf_path.c_str());
 
   std::remove(path.c_str());
 
@@ -366,16 +468,9 @@ int Main(int argc, char** argv) {
             i + 1 < runs.size() ? "," : "");
   }
   fprintf(f, "  ],\n");
-  fprintf(f,
-          "  \"rollup_outofcore\": {\"sync_wall_ms\": %.3f, "
-          "\"sync_modeled_ms\": %.3f, \"sync_total_ms\": %.3f,\n"
-          "    \"reader_wall_ms\": %.3f, \"reader_modeled_ms\": %.3f, "
-          "\"reader_total_ms\": %.3f,\n"
-          "    \"bit_identical\": %s, \"matches_memory\": %s}\n",
-          rollup.sync_wall_ms, rollup.sync_modeled_ms, rollup.sync_total_ms(),
-          rollup.reader_wall_ms, rollup.reader_modeled_ms,
-          rollup.reader_total_ms(), rollup.bit_identical ? "true" : "false",
-          rollup.matches_memory ? "true" : "false");
+  for (size_t i = 0; i < rollups.size(); ++i) {
+    PrintRollup(f, rollups[i], i + 1 == rollups.size());
+  }
   fprintf(f, "}\n");
   fclose(f);
   fprintf(stderr, "wrote %s\n", out_path.c_str());
@@ -383,9 +478,19 @@ int Main(int argc, char** argv) {
   // ---- gates -------------------------------------------------------------
   int failures = 0;
   if (!sync.ok) ++failures;
-  if (!rollup.ok || !rollup.bit_identical || !rollup.matches_memory) {
-    fprintf(stderr, "FAIL rollup_outofcore: window 16/window 1/in-memory mismatch\n");
-    ++failures;
+  for (const RollupResult& rollup : rollups) {
+    if (!rollup.ok || !rollup.bit_identical || !rollup.matches_memory) {
+      fprintf(stderr, "FAIL %s: window 16/window 1/in-memory mismatch\n",
+              rollup.name.c_str());
+      ++failures;
+    }
+    if (!rollup.threads_identical || !rollup.modeled_identical) {
+      fprintf(stderr,
+              "FAIL %s: %d-thread views or modeled I/O differ from the "
+              "serial run\n",
+              rollup.name.c_str(), rollup.threads);
+      ++failures;
+    }
   }
   for (const ReaderResult& r : runs) {
     if (!r.ok || !r.bit_identical) {

@@ -123,7 +123,7 @@ AggregateCache::AggregateCache(const Cube& cube,
   std::iota(order.begin(), order.end(), 0);
   Result<std::vector<GroupByResult>> streamed =
       disk != nullptr
-          ? aggregator.ComputeOutOfCore(masks_, order, disk, options)
+          ? aggregator.ComputeOutOfCore(masks_, order, disk, options, threads)
           : Result<std::vector<GroupByResult>>(
                 Status(StatusCode::kFailedPrecondition, "no disk"));
   if (streamed.ok()) {

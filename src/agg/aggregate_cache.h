@@ -67,7 +67,9 @@ class AggregateCache {
 
   // Out-of-core materialization: streams the chunk data from `disk`'s
   // backing file (which must store `cube`) through
-  // ChunkAggregator::ComputeOutOfCore at `options.window`. Falls back to
+  // ChunkAggregator::ComputeOutOfCore at `options.window` and `threads`
+  // (bit-identical at every thread count, like the in-memory pass). Falls
+  // back to
   // the in-memory pass when streaming is unavailable (no backing file) or
   // fails; either way the views are value-equivalent. Exception: a stream
   // abandoned by options.cancel does NOT fall back (no wasted full scan

@@ -20,6 +20,10 @@ struct AggStats {
   int64_t chunks_read = 0;      // Chunks that actually held data.
   int64_t cells_scanned = 0;    // Non-⊥ input cells.
   int64_t mmst_memory_cells = 0;  // Analytic Zhao memory bound for the pass.
+  // The accumulation plan that ran (DESIGN.md §7): the slab plan's
+  // dimension, or -1 for the partial plan; and its number of work units.
+  int slab_dim = -1;
+  int64_t work_units = 0;
 };
 
 // Simple whole-cube scanner: visits every stored cell once and projects it
@@ -47,20 +51,27 @@ class ChunkAggregator {
   // `order`: permutation of dimensions; order[0] is read fastest.
   // `disk` may be null.
   //
-  // The stored chunks (in traversal order) are split into a deterministic
-  // sequence of contiguous partitions whose count depends only on the
-  // workload (never on `threads`); each partition accumulates every
-  // requested group-by in one pass over its chunks, and the per-partition
-  // partials are merged in ascending partition order. `threads` > 1 runs
-  // the partitions in parallel on the shared pool; because the partition
-  // plan and the merge order are thread-independent, the results are
-  // bit-identical at every thread count. Stats and disk charging come from
-  // a serial traversal pre-pass and are likewise unchanged.
+  // The stored chunks (in traversal order) are accumulated under one
+  // workload-only plan (never dependent on `threads`; DESIGN.md §7):
+  //   - the slab plan, when every mask keeps some dimension d and d has
+  //     more than one chunk slab and at least as many as the partial plan
+  //     has partitions (and the work clears the partitioning floor): the
+  //     visit list is cut into groups of contiguous slabs along d, and
+  //     each group accumulates straight into the shared output views.
+  //     Different slabs write disjoint output cells, so each cell receives
+  //     its inputs in exactly the serial visit order — bitwise equal to
+  //     the serial pass, on fractional data too;
+  //   - otherwise the partial plan: contiguous partitions of the visit
+  //     list fill private partials, merged in ascending partition order.
+  // `threads` > 1 runs the units on the shared pool; results are
+  // bit-identical at every thread count either way, and stats() reports
+  // which plan ran. Stats and disk charging come from a serial traversal
+  // pre-pass and are likewise unchanged.
   //
-  // `cancel` is polled at chunk/partition granularity. A pass that
-  // observes a stop request returns early with *incomplete* partials — the
-  // caller owns checking the token afterwards and must discard the result
-  // (never publish it into a cache).
+  // `cancel` is polled at chunk/unit granularity. A pass that observes a
+  // stop request returns early with *incomplete* results — the caller owns
+  // checking the token afterwards and must discard the result (never
+  // publish it into a cache).
   std::vector<GroupByResult> Compute(const std::vector<GroupByMask>& masks,
                                      const std::vector<int>& order,
                                      SimulatedDisk* disk = nullptr,
@@ -69,26 +80,31 @@ class ChunkAggregator {
 
   // Out-of-core variant: reads the chunk data from `disk`'s backing file
   // (which must store this aggregator's cube) instead of the in-memory
-  // chunk map. The traversal order, the workload-only partition plan, and
-  // the ascending partial merge are the same as Compute's, and chunks are
-  // accumulated strictly in traversal order through StreamSchedule
-  // (storage/chunk_pipeline.h) — so the result is bit-identical at every
-  // window: window 1 is the per-chunk read loop, larger windows coalesce
-  // adjacent chunk ids into single ranged reads.
-  // kFailedPrecondition without a backing file; read errors propagate —
-  // except kResourceExhausted at window > 1, which takes the sync_io rung
-  // of the degradation ladder first: the stream restarts at window 1, and
-  // only a still-failing per-chunk pass surfaces the error. The retry
-  // restarts accumulation from scratch, so the delivered numbers are
-  // exactly the successful pass's (bit-identical to an undegraded run).
-  // The rung is reported through `on_degrade` and
-  // agg.outofcore.sync_fallbacks.
+  // chunk map. The traversal order and the plan are Compute's (the work
+  // estimate counts whole chunks, since cells are unknown before the
+  // read), so the result is bit-identical at every window and thread
+  // count. A pass charges before it reads: the calling thread charges the
+  // whole visit schedule with ChargeSchedule (storage/chunk_pipeline.h) —
+  // the runs, IoStats and modeled seconds a serial stream would produce —
+  // then each plan unit streams its own sub-schedule through uncharged,
+  // CRC-verified ReadBackingRun reads, on the pool when `threads` > 1.
+  // Window 1 is the per-chunk read loop; larger windows coalesce adjacent
+  // chunk ids into single ranged reads. A failed or cancelled pass has
+  // therefore already charged its whole schedule.
+  // kFailedPrecondition without a backing file; read errors propagate (the
+  // first unit to fail stops the others) — except kResourceExhausted at
+  // window > 1, which takes the sync_io rung of the degradation ladder
+  // first: the whole pass restarts at window 1, and only a still-failing
+  // per-chunk pass surfaces the error. The retry restarts accumulation
+  // from scratch, so the delivered numbers are exactly the successful
+  // pass's (bit-identical to an undegraded run). The rung is reported
+  // through `on_degrade` and agg.outofcore.sync_fallbacks.
   struct OutOfCoreOptions {
     // Read window of the stream (kReadWindow; 1 = one read per chunk).
     int window = kReadWindow;
-    // Polled before every read. On a stop request ComputeOutOfCore
-    // returns kCancelled/kDeadlineExceeded (cancellation is terminal: the
-    // ladder does not retry it).
+    // Polled before every read of every unit. On a stop request
+    // ComputeOutOfCore returns kCancelled/kDeadlineExceeded (cancellation
+    // is terminal: the ladder does not retry it).
     CancellationToken cancel;
     // Ladder-step callback ("sync_io"); the engine wires this to
     // QueryContext::RecordDegradation. May be empty.
@@ -96,7 +112,7 @@ class ChunkAggregator {
   };
   Result<std::vector<GroupByResult>> ComputeOutOfCore(
       const std::vector<GroupByMask>& masks, const std::vector<int>& order,
-      SimulatedDisk* disk, const OutOfCoreOptions& options);
+      SimulatedDisk* disk, const OutOfCoreOptions& options, int threads = 1);
 
   const AggStats& stats() const { return stats_; }
 

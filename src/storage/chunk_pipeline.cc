@@ -77,8 +77,9 @@ double ChargeSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
   return total;
 }
 
-Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
-                      int window, const CancellationToken& cancel,
+Status StreamSchedule(const RunFetcher& fetch,
+                      const std::vector<ChunkId>& schedule, int window,
+                      const CancellationToken& cancel,
                       const std::function<void(ChunkId, const Chunk&)>& fn,
                       StreamStats* stats) {
   static Counter* coalesced_reads =
@@ -106,7 +107,7 @@ Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
         span.SetDetail("begin=" + std::to_string(run.begin) +
                        " count=" + std::to_string(run.count));
       }
-      data = disk->FetchRun(run.begin, run.count);
+      data = fetch(run.begin, run.count);
       if (!data.ok()) span.SetError(data.status());
     }
     if (!data.ok()) return data.status();
@@ -144,6 +145,15 @@ Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
     }
     return Status::Ok();
   });
+}
+
+Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
+                      int window, const CancellationToken& cancel,
+                      const std::function<void(ChunkId, const Chunk&)>& fn,
+                      StreamStats* stats) {
+  return StreamSchedule(
+      [disk](ChunkId begin, int count) { return disk->FetchRun(begin, count); },
+      schedule, window, cancel, fn, stats);
 }
 
 }  // namespace olap

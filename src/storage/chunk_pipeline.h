@@ -40,9 +40,11 @@ std::vector<ScheduleRun> PlanScheduleRuns(const std::vector<ChunkId>& schedule,
                                           int window);
 
 // Charges the planned runs of `schedule` to `disk` (one ReadRun each, in
-// issue order) without reading data — the perspective-cube read passes.
-// Returns the virtual seconds charged. Window 1 charges exactly what a
-// ReadChunk per entry does.
+// issue order) without reading data — the perspective-cube read passes,
+// and the up-front charge of the out-of-core roll-up, whose plan units then
+// read their sub-schedules uncharged (SimulatedDisk::ReadBackingRun) on
+// pool threads. Returns the virtual seconds charged. Window 1 charges
+// exactly what a ReadChunk per entry does.
 double ChargeSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
                       int window);
 
@@ -53,17 +55,31 @@ struct StreamStats {
   int64_t peak_buffered = 0;    // Most chunks held at once (<= window).
 };
 
-// Streams the chunks of `schedule` from `disk`'s backing file to `fn`,
-// strictly in schedule order, on the calling thread. Each planned run is
-// one FetchRun — the ReadRun charge plus one ranged, CRC-verified read —
-// inside a `pipeline.fetch_batch` span; chunks a run fetched ahead of
-// their turn wait in a buffer of at most `window` chunks. `cancel` is
-// polled before every read.
+// Reads chunk ids [begin, begin + count) as one ranged read, in id order —
+// the fetch StreamSchedule issues for each planned run.
+using RunFetcher =
+    std::function<Result<std::vector<Chunk>>(ChunkId begin, int count)>;
+
+// Streams the chunks of `schedule` to `fn`, strictly in schedule order, on
+// the calling thread. Each planned run is one `fetch` call inside a
+// `pipeline.fetch_batch` span (closed with the error if the fetch fails);
+// chunks a run fetched ahead of their turn wait in a buffer of at most
+// `window` chunks. `cancel` is polled before every read.
 //
 // Returns the first read error or the token's stop status; `fn` has then
-// seen a prefix of the schedule. The data handed to `fn`, the charges and
-// the resulting SimulatedDisk stats are identical on every run and
-// thread count; the data is the same at every window.
+// seen a prefix of the schedule. The data handed to `fn` is the same at
+// every window. Safe to run concurrently on disjoint callbacks when
+// `fetch` is (SimulatedDisk::ReadBackingRun is).
+Status StreamSchedule(const RunFetcher& fetch,
+                      const std::vector<ChunkId>& schedule, int window,
+                      const CancellationToken& cancel,
+                      const std::function<void(ChunkId, const Chunk&)>& fn,
+                      StreamStats* stats = nullptr);
+
+// The charged stream: fetches through SimulatedDisk::FetchRun — the ReadRun
+// charge plus one ranged, CRC-verified read of `disk`'s backing file per
+// run — so the charges and the resulting SimulatedDisk stats are those of
+// ChargeSchedule(disk, schedule, window) on every run and thread count.
 Status StreamSchedule(SimulatedDisk* disk, const std::vector<ChunkId>& schedule,
                       int window, const CancellationToken& cancel,
                       const std::function<void(ChunkId, const Chunk&)>& fn,

@@ -92,11 +92,13 @@ class FaultRandomAccessFile : public RandomAccessFile {
 
 void FaultInjectingEnv::InjectError(FaultOp op, int skip, StatusCode code,
                                     int times) {
+  std::lock_guard<std::mutex> lock(mu_);
   error_faults_.push_back(ErrorFault{op, skip, times, code});
 }
 
 void FaultInjectingEnv::InjectTornWrite(int skip, double fraction,
                                         StatusCode code) {
+  std::lock_guard<std::mutex> lock(mu_);
   torn_.armed = true;
   torn_.skip = skip;
   torn_.fraction = std::clamp(fraction, 0.0, 1.0);
@@ -105,21 +107,25 @@ void FaultInjectingEnv::InjectTornWrite(int skip, double fraction,
 }
 
 void FaultInjectingEnv::InjectBitFlip(int64_t offset, uint8_t mask) {
+  std::lock_guard<std::mutex> lock(mu_);
   bit_flips_.push_back(BitFlip{offset, mask});
 }
 
 void FaultInjectingEnv::ClearFaults() {
+  std::lock_guard<std::mutex> lock(mu_);
   error_faults_.clear();
   torn_ = TornWrite{};
   bit_flips_.clear();
 }
 
 int64_t FaultInjectingEnv::op_count(FaultOp op) const {
+  std::lock_guard<std::mutex> lock(mu_);
   auto it = op_counts_.find(op);
   return it == op_counts_.end() ? 0 : it->second;
 }
 
 Status FaultInjectingEnv::OnOp(FaultOp op, const std::string& path) {
+  std::lock_guard<std::mutex> lock(mu_);
   ++op_counts_[op];
   // A fired torn write means the process is "dead": nothing else reaches
   // the disk.
@@ -140,6 +146,7 @@ Status FaultInjectingEnv::OnOp(FaultOp op, const std::string& path) {
 }
 
 size_t FaultInjectingEnv::OnAppend(size_t n, Status* injected) {
+  std::lock_guard<std::mutex> lock(mu_);
   *injected = Status::Ok();
   if (!torn_.armed || torn_.fired) return n;
   if (torn_.skip > 0) {
@@ -152,6 +159,7 @@ size_t FaultInjectingEnv::OnAppend(size_t n, Status* injected) {
 }
 
 void FaultInjectingEnv::ApplyBitFlips(int64_t offset, std::string* data) const {
+  std::lock_guard<std::mutex> lock(mu_);
   for (const BitFlip& flip : bit_flips_) {
     if (flip.offset >= offset &&
         flip.offset < offset + static_cast<int64_t>(data->size())) {

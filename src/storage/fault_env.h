@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,10 @@ namespace olap {
 
 // Env decorator that injects storage faults at precise points, for testing
 // the durability guarantees of SaveCube/LoadCube and the retry policy.
-// Not thread-safe (it is a test harness).
+// Thread-safe: one mutex orders every fault decision, so files read from
+// several threads at once (the parallel out-of-core rollup) consume one
+// shared fault schedule — which read a skip count lands on then depends
+// on thread timing.
 //
 // Three fault shapes:
 //   * InjectError      — the Nth matching operation returns the given
@@ -112,6 +116,7 @@ class FaultInjectingEnv : public Env {
   void ApplyBitFlips(int64_t offset, std::string* data) const;
 
   Env* base_;
+  mutable std::mutex mu_;  // Guards the fault state and op counts below.
   std::vector<ErrorFault> error_faults_;
   TornWrite torn_;
   std::vector<BitFlip> bit_flips_;

@@ -208,6 +208,14 @@ Result<std::vector<Chunk>> SimulatedDisk::FetchRun(ChunkId begin, int count) {
     return Status::FailedPrecondition("no backing file attached");
   }
   ReadRun(begin, count);
+  return ReadBackingRun(begin, count);
+}
+
+Result<std::vector<Chunk>> SimulatedDisk::ReadBackingRun(ChunkId begin,
+                                                         int count) const {
+  if (backing_file_ == nullptr) {
+    return Status::FailedPrecondition("no backing file attached");
+  }
   Result<std::vector<Chunk>> chunks =
       ReadIndexedChunkRun(backing_file_.get(), backing_index_, begin, count);
   if (!chunks.ok()) {

@@ -56,9 +56,11 @@ struct IoStats {
 // head/seek arithmetic. Statistics accumulate in cache-line-padded stripes
 // of relaxed atomics outside the lock and are merged on demand by stats(),
 // so parallel fetches do not serialise on stats accounting. The engine's
-// out-of-core reader (storage/chunk_pipeline.h) charges from one thread in
-// a plan fixed by the schedule, so its virtual seconds and seek totals are
-// the same on every run.
+// out-of-core reader (storage/chunk_pipeline.h) separates the charge from
+// the read: the query thread charges a whole schedule in a plan fixed by
+// the schedule (ChargeSchedule), and any number of pool threads then read
+// the data through the uncharged ReadBackingRun — so the virtual seconds,
+// seek totals and cache state are the same on every run and thread count.
 //
 // Optionally backed by a real OLAPCUB2 cube file via AttachBackingFile:
 // FetchChunk/FetchRun then route cache misses through the Env as ranged,
@@ -95,11 +97,16 @@ class SimulatedDisk {
   // checksum mismatch.
   Result<Chunk> FetchChunk(ChunkId id);
 
-  // Ranged fetch: charges ReadRun(begin, count) and reads the chunks'
-  // records with one ranged, CRC-verified file read (positional, so
-  // concurrent calls are safe). kNotFound if any id in the range is not
-  // stored.
+  // Ranged fetch: charges ReadRun(begin, count), then ReadBackingRun.
   Result<std::vector<Chunk>> FetchRun(ChunkId begin, int count);
+
+  // Reads chunks [begin, begin + count) from the backing file with one
+  // ranged, CRC-verified file read (positional, so concurrent calls are
+  // safe) WITHOUT charging the cost model or touching the cache — the data
+  // half of FetchRun, for readers whose schedule was charged up front.
+  // kFailedPrecondition without a backing file; kNotFound if any id in the
+  // range is not stored; kDataLoss on checksum mismatch.
+  Result<std::vector<Chunk>> ReadBackingRun(ChunkId begin, int count) const;
 
   // A merged snapshot of the counters (safe while other threads read;
   // exact once concurrent readers have quiesced).

@@ -18,12 +18,15 @@
 
 #include <gtest/gtest.h>
 
+#include "agg/batch_eval.h"
+#include "agg/chunk_aggregator.h"
 #include "common/cancellation.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/executor.h"
 #include "storage/cube_io.h"
+#include "storage/fault_env.h"
 #include "storage/simulated_disk.h"
 #include "whatif/delta.h"
 #include "whatif/scenario_algebra.h"
@@ -174,6 +177,109 @@ TEST_F(CancellationFuzzTest, RandomCancellationPointsLeaveNoResidue) {
   EXPECT_TRUE(r->profile.trace.WellFormed(&why)) << why;
   for (const SpanRecord& s : r->profile.trace.spans) EXPECT_TRUE(s.ok) << s.name;
   ExpectMatchesOracle(*r, "post-fuzz profiled run");
+}
+
+// A cancel that lands mid-stream in a 4-thread out-of-core scratch build:
+// the slab plan's units are streaming on the pool when the token trips.
+// The evaluator must publish no scratch views, return its whole budget
+// reservation, and leave the disk charged for exactly the whole visit
+// schedule (a pass charges before it reads).
+TEST_F(CancellationFuzzTest, MidStreamOutOfCoreCancelPublishesNothing) {
+  ProductCubeConfig config;
+  config.separation_chunks = 6000;
+  config.chunk_products = 1;
+  const ProductCube pc = BuildProductCube(config);
+  const std::string path = ::testing::TempDir() + "/cancellation_slab.olap";
+  ASSERT_TRUE(SaveCube(pc.cube, path).ok());
+  const Schema& schema = pc.cube.schema();
+  // One derived ref per product group, rolled up over time and measures:
+  // they all need the by-product view, which every slab of the product
+  // axis owns a disjoint range of.
+  std::vector<CellRef> refs;
+  for (MemberId group : pc.groups) {
+    CellRef ref(pc.cube.num_dims());
+    for (int d = 0; d < pc.cube.num_dims(); ++d) {
+      ref[d] = AxisRef::OfMember(schema.dimension(d).root());
+    }
+    ref[pc.product_dim] = AxisRef::OfMember(group);
+    refs.push_back(ref);
+  }
+
+  int64_t reserved = 0;
+  auto evaluator_options = [&](SimulatedDisk* disk,
+                               const CancellationToken& cancel) {
+    BatchEvalOptions options;
+    options.threads = 4;
+    options.out_of_core_disk = disk;
+    options.cancel = cancel;
+    options.try_reserve_cells = [&reserved](int64_t cells) {
+      reserved += cells;
+      return true;
+    };
+    options.release_cells = [&reserved](int64_t cells) { reserved -= cells; };
+    return options;
+  };
+
+  // The uncancelled build: its poll and read counts bound the trip points,
+  // and its views run the slab plan.
+  FaultInjectingEnv full_env(Env::Default());
+  SimulatedDisk full_disk(TestModel(), 0);
+  ASSERT_TRUE(full_disk.AttachBackingFile(&full_env, path).ok());
+  const int64_t index_reads = full_env.op_count(FaultOp::kRead);
+  CancellationSource full;
+  int64_t full_polls = 0;
+  std::vector<GroupByMask> masks;
+  {
+    BatchCellEvaluator eval(pc.cube, nullptr,
+                            evaluator_options(&full_disk, full.token()));
+    eval.PrepareRefs(refs);
+    ASSERT_NE(eval.scratch(), nullptr);
+    full_polls = full.token().polls();
+    masks = eval.scratch()->masks();
+  }
+  EXPECT_EQ(reserved, 0);
+  const int64_t full_reads = full_env.op_count(FaultOp::kRead) - index_reads;
+  std::vector<int> order(pc.cube.num_dims());
+  std::iota(order.begin(), order.end(), 0);
+  ChunkAggregator probe(pc.cube);
+  SimulatedDisk probe_disk(TestModel(), 0);
+  ASSERT_TRUE(probe_disk.AttachBackingFile(Env::Default(), path).ok());
+  ASSERT_TRUE(probe
+                  .ComputeOutOfCore(masks, order, &probe_disk,
+                                    ChunkAggregator::OutOfCoreOptions{}, 4)
+                  .ok());
+  ASSERT_EQ(probe.stats().slab_dim, pc.product_dim);
+  ASSERT_GT(probe.stats().work_units, 1);
+  ASSERT_GT(full_polls, 8);
+
+  // What a full pass charges, cancelled or not.
+  const IoStats want = full_disk.stats();
+
+  int mid_stream = 0;
+  for (int64_t trip : {full_polls / 4, full_polls / 2, 3 * full_polls / 4}) {
+    const std::string what = "trip=" + std::to_string(trip);
+    FaultInjectingEnv env(Env::Default());
+    SimulatedDisk disk(TestModel(), 0);
+    ASSERT_TRUE(disk.AttachBackingFile(&env, path).ok());
+    CancellationSource source;
+    source.CancelAfterPolls(trip);
+    {
+      BatchCellEvaluator eval(pc.cube, nullptr,
+                              evaluator_options(&disk, source.token()));
+      eval.PrepareRefs(refs);
+      EXPECT_EQ(eval.scratch(), nullptr) << what;  // Nothing published.
+      EXPECT_EQ(reserved, 0) << what;              // Returned at once.
+    }
+    EXPECT_EQ(reserved, 0) << what;
+    const int64_t reads = env.op_count(FaultOp::kRead) - index_reads;
+    if (reads > 0 && reads < full_reads) ++mid_stream;
+    const IoStats got = disk.stats();
+    EXPECT_EQ(got.physical_reads, want.physical_reads) << what;
+    EXPECT_EQ(got.total_seek_chunks, want.total_seek_chunks) << what;
+    EXPECT_EQ(got.virtual_seconds, want.virtual_seconds) << what;
+  }
+  EXPECT_GT(mid_stream, 0);
+  std::remove(path.c_str());
 }
 
 TEST_F(CancellationFuzzTest, ComposedScenarioAndCompareCancelCleanly) {

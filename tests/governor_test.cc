@@ -343,6 +343,30 @@ class OutOfCoreLadderTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
+  // Swaps in a cube big enough for the slab plan (every mask keeps the
+  // product dimension), so the pass fans its units out over the pool.
+  void UseSlabPlanWorkload() {
+    ProductCubeConfig config;
+    config.separation_chunks = 4000;
+    config.chunk_products = 1;
+    config.fill_data = true;
+    workload_ = BuildProductCube(config);
+    ASSERT_TRUE(SaveCube(workload_.cube, path_).ok());
+    ChunkAggregator oracle_agg(workload_.cube);
+    oracle_ = oracle_agg.Compute(masks_, order_);
+  }
+
+  void ExpectOracleBitwise(const std::vector<GroupByResult>& views) {
+    ASSERT_EQ(views.size(), oracle_.size());
+    for (size_t m = 0; m < views.size(); ++m) {
+      ASSERT_EQ(views[m].num_cells(), oracle_[m].num_cells());
+      EXPECT_EQ(std::memcmp(views[m].raw_cells(), oracle_[m].raw_cells(),
+                            sizeof(double) * views[m].num_cells()),
+                0)
+          << "mask " << m;
+    }
+  }
+
   ProductCube workload_;
   std::string path_;
   std::vector<GroupByMask> masks_;
@@ -395,6 +419,55 @@ TEST_F(OutOfCoreLadderTest, PersistentExhaustionSurfacesTheError) {
   // Every rung failed (sync included): the ladder is exhausted and the
   // error surfaces instead of looping forever.
   EXPECT_EQ(views.status().code(), StatusCode::kResourceExhausted);
+}
+
+// The same two rungs with the slab plan's units streaming on 4 threads: a
+// transient exhaustion in whichever unit hits it restarts the whole pass
+// at window 1 and still delivers the serial bits; a persistent one
+// surfaces.
+TEST_F(OutOfCoreLadderTest, ParallelTransientExhaustionRestartsBitwise) {
+  UseSlabPlanWorkload();
+  FaultInjectingEnv env(Env::Default());
+  SimulatedDisk disk(TestModel(), 0);
+  ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
+  // Mid-stream: a few ranged reads succeed first.
+  env.InjectError(FaultOp::kRead, /*skip=*/5, StatusCode::kResourceExhausted,
+                  /*times=*/1);
+
+  ChunkAggregator::OutOfCoreOptions options;
+  std::vector<std::string> degradations;
+  options.on_degrade = [&](const char* step) { degradations.push_back(step); };
+  MetricsRegistry& reg = MetricsRegistry::Global();
+  const MetricsRegistry::Snapshot before = reg.TakeSnapshot();
+  ChunkAggregator agg(workload_.cube);
+  Result<std::vector<GroupByResult>> views =
+      agg.ComputeOutOfCore(masks_, order_, &disk, options, /*threads=*/4);
+  ASSERT_TRUE(views.ok()) << views.status().ToString();
+  const MetricsRegistry::Snapshot delta =
+      MetricsRegistry::Snapshot::Delta(before, reg.TakeSnapshot());
+
+  EXPECT_EQ(agg.stats().slab_dim, workload_.product_dim);
+  EXPECT_GT(agg.stats().work_units, 1);
+  ExpectOracleBitwise(*views);
+  ASSERT_FALSE(degradations.empty());
+  EXPECT_EQ(degradations[0], "sync_io");
+  EXPECT_GE(delta.counter_value("agg.outofcore.sync_fallbacks"), 1);
+}
+
+TEST_F(OutOfCoreLadderTest, ParallelPersistentExhaustionSurfacesTheError) {
+  UseSlabPlanWorkload();
+  FaultInjectingEnv env(Env::Default());
+  SimulatedDisk disk(TestModel(), 0);
+  ASSERT_TRUE(disk.AttachBackingFile(&env, path_).ok());
+  env.InjectError(FaultOp::kRead, /*skip=*/5, StatusCode::kResourceExhausted,
+                  FaultInjectingEnv::kForever);
+
+  ChunkAggregator agg(workload_.cube);
+  Result<std::vector<GroupByResult>> views = agg.ComputeOutOfCore(
+      masks_, order_, &disk, ChunkAggregator::OutOfCoreOptions{},
+      /*threads=*/4);
+  EXPECT_EQ(views.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(agg.stats().slab_dim, workload_.product_dim);
 }
 
 // ---- mid-stream cancellation ---------------------------------------------

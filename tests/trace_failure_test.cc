@@ -9,6 +9,8 @@
 
 #include <vector>
 
+#include "agg/chunk_aggregator.h"
+#include "common/thread_pool.h"
 #include "common/trace.h"
 #include "engine/executor.h"
 #include "storage/chunk_pipeline.h"
@@ -16,6 +18,7 @@
 #include "storage/fault_env.h"
 #include "storage/simulated_disk.h"
 #include "workload/paper_example.h"
+#include "workload/product.h"
 
 namespace olap {
 namespace {
@@ -153,6 +156,57 @@ TEST_F(TraceFailureTest, FaultMidPrefetchClosesFetchBatchSpansWithError) {
   ExpectClosedErrorTree(TraceCollector::DisableAndDrain(),
                         "pipeline.fetch_batch", "");
   std::remove(path.c_str());
+}
+
+// The out-of-core rollup's slab-plan units stream on pool threads, each
+// read in its own pipeline.fetch_batch span rooted at that worker: a fault
+// there must close the worker's span with the error, and the session must
+// stay well-formed. Which unit hits the fault depends on thread timing, so
+// a few attempts give a pool thread the chance to be the one.
+TEST_F(TraceFailureTest, FaultInPoolThreadFetchBatchClosesWithError) {
+  ProductCubeConfig config;
+  config.separation_chunks = 4000;
+  config.chunk_products = 1;
+  config.fill_data = true;
+  const ProductCube pc = BuildProductCube(config);
+  const std::string path = TempPath("trace_failure_parallel.olap");
+  ASSERT_TRUE(SaveCube(pc.cube, path).ok());
+  const std::vector<GroupByMask> masks = {0b001, 0b011};
+  std::vector<int> order(pc.cube.num_dims());
+  for (int d = 0; d < pc.cube.num_dims(); ++d) order[d] = d;
+
+  bool pool_thread_fault = false;
+  for (int attempt = 0; attempt < 20 && !pool_thread_fault; ++attempt) {
+    FaultInjectingEnv env(Env::Default());
+    SimulatedDisk disk(DiskModel{}, 0);
+    ASSERT_TRUE(disk.AttachBackingFile(&env, path).ok());
+    env.InjectError(FaultOp::kRead, /*skip=*/8, StatusCode::kDataLoss,
+                    FaultInjectingEnv::kForever);
+    ASSERT_TRUE(TraceCollector::Enable());
+    ChunkAggregator agg(pc.cube);
+    const Result<std::vector<GroupByResult>> views = agg.ComputeOutOfCore(
+        masks, order, &disk, ChunkAggregator::OutOfCoreOptions{},
+        /*threads=*/4);
+    const TraceData data = TraceCollector::DisableAndDrain();
+    EXPECT_EQ(views.status().code(), StatusCode::kDataLoss);
+    EXPECT_GE(agg.stats().slab_dim, 0);
+    ExpectClosedErrorTree(data, "pipeline.fetch_batch", "injected");
+    ExpectClosedErrorTree(data, "agg.rollup_outofcore", "injected");
+    int caller = -1;
+    for (const SpanRecord& s : data.spans) {
+      if (s.name == "agg.rollup_outofcore") caller = s.thread;
+    }
+    for (const SpanRecord& s : data.spans) {
+      if (s.name == "pipeline.fetch_batch" && !s.ok && s.thread != caller) {
+        pool_thread_fault = true;
+      }
+    }
+  }
+  std::remove(path.c_str());
+  if (ThreadPool::HardwareCores() >= 2) {
+    EXPECT_TRUE(pool_thread_fault)
+        << "no failed fetch_batch span on a pool thread in 20 attempts";
+  }
 }
 
 TEST_F(TraceFailureTest, RejectedWhatIfSpecClosesComputeSpanWithError) {
